@@ -39,7 +39,6 @@ from .circle_target import (
     assumption_check,
     canonical_instance,
     canonical_terms_scalar,
-    closed_form_length,
     length_at_alpha,
     lsl_terms,
     rotational_relation,
@@ -194,10 +193,10 @@ def _wrap_to_pi_array(a: np.ndarray) -> np.ndarray:
     return np.where(b > math.pi, b - TWO_PI, b)
 
 
-def _bisect_zero(f: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
+def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, tol: float) -> float:
     for _ in range(ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECT_TOL:
+        if hi - lo <= tol:
             return mid
         fm = f(mid)
         if math.isnan(fm):
@@ -215,32 +214,32 @@ def _zero_crossings(f: Callable[[float], float], vals: np.ndarray, grid: np.ndar
     ``vals`` holds f on the cyclic grid.  Sign changes with both ends
     within pi/2 of zero are bisected (this excludes the harmless branch
     jump at +-pi); near-zero cells with equal end signs get a midpoint
-    probe to catch crossing pairs inside one cell.
+    probe to catch crossing pairs inside one cell.  The cells are
+    classified on the whole grid at once; only flagged ones are visited.
     """
-    n = len(grid)
+    nxt = np.roll(vals, -1)
+    near = (np.abs(vals) < NEAR_WRAP_GUARD) & (np.abs(nxt) < NEAR_WRAP_GUARD)
+    flagged = (np.abs(vals) <= HALF_PI) & (np.abs(nxt) <= HALF_PI)
+    flagged &= (vals == 0.0) | (vals * nxt < 0.0) | near
+    step = grid[1] - grid[0]
     roots: list[float] = []
-    for k in range(n):
-        a, b = grid[k], grid[k] + (grid[1] - grid[0])
-        fa, fb = vals[k], vals[(k + 1) % n]
-        if math.isnan(fa) or math.isnan(fb):
-            continue
-        if abs(fa) > HALF_PI or abs(fb) > HALF_PI:
-            continue
+    for k in np.flatnonzero(flagged):
+        a, b = grid[k], grid[k] + step
+        fa, fb = vals[k], nxt[k]
         if fa == 0.0:
             roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            roots.append(_bisect_zero(f, a, b, fa))
-        elif abs(fa) < NEAR_WRAP_GUARD and abs(fb) < NEAR_WRAP_GUARD:
+        elif fa * fb < 0.0:
+            roots.append(_bisect(f, a, b, fa, BISECT_TOL))
+        else:
             mid = 0.5 * (a + b)
             fm = f(mid)
             if not math.isnan(fm) and fa * fm < 0.0:
-                roots.append(_bisect_zero(f, a, mid, fa))
-                roots.append(_bisect_zero(f, mid, b, fm))
+                roots.append(_bisect(f, a, mid, fa, BISECT_TOL))
+                roots.append(_bisect(f, mid, b, fm, BISECT_TOL))
     return roots
 
 
-def _canonical_discontinuities(ci: CanonicalInstance, scan: int) -> list[tuple[float, str]]:
+def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]:
     """(canonical alpha, cause) for every arc-angle wrap, unsorted."""
     if not ci.cw:
         # co-rotational: phi1 is constant, phi2 wraps exactly once
@@ -249,7 +248,7 @@ def _canonical_discontinuities(ci: CanonicalInstance, scan: int) -> list[tuple[f
             raise InfeasiblePathError("inner-tangent type infeasible for every alpha")
         a0 = phi1 - HALF_PI if ci.kind is PathType.LSL else -phi1
         return [(a0 % TWO_PI, CAUSE_PHI2)]
-    grid = np.arange(scan) * (TWO_PI / scan)
+    grid = np.arange(SCAN_SAMPLES) * (TWO_PI / SCAN_SAMPLES)
     found: list[tuple[float, str]] = []
     w1 = _phi1_wrap_grid(ci, grid)
     for a in _zero_crossings(lambda x: _phi1_wrap_scalar(ci, x), w1, grid):
@@ -260,27 +259,30 @@ def _canonical_discontinuities(ci: CanonicalInstance, scan: int) -> list[tuple[f
     return found
 
 
+def _length(ci: CanonicalInstance, alpha_world: float) -> float:
+    """``closed_form_length`` on an already reduced instance."""
+    return canonical_terms_scalar(ci, ci.to_canonical_alpha(normalize_angle(alpha_world)))[0]
+
+
+def _discontinuities(ci: CanonicalInstance) -> tuple[Discontinuity, ...]:
+    out = []
+    for a_c, cause in _canonical_discontinuities(ci):
+        a_w = ci.to_world_alpha(a_c)
+        jump = _length(ci, a_w + JUMP_PROBE) - _length(ci, a_w - JUMP_PROBE)
+        out.append(Discontinuity(alpha=a_w, jump=jump, cause=cause))
+    out.sort(key=lambda disc: disc.alpha)
+    return tuple(out)
+
+
 def discontinuities(
-    start: Configuration,
-    circle: TargetCircle,
-    path_type: PathType,
-    *,
-    scan: int = SCAN_SAMPLES,
+    start: Configuration, circle: TargetCircle, path_type: PathType
 ) -> tuple[Discontinuity, ...]:
     """All discontinuities of the length function, sorted by world alpha.
 
     Each entry carries the signed length jump measured across the wrap in
     world-frame alpha order; its magnitude is 2*pi*r.
     """
-    ci = canonical_instance(start, circle, path_type)
-    out = []
-    for a_c, cause in _canonical_discontinuities(ci, scan):
-        a_w = ci.to_world_alpha(a_c)
-        before = closed_form_length(start, circle, path_type, a_w - JUMP_PROBE)
-        after = closed_form_length(start, circle, path_type, a_w + JUMP_PROBE)
-        out.append(Discontinuity(alpha=a_w, jump=after - before, cause=cause))
-    out.sort(key=lambda disc: disc.alpha)
-    return tuple(out)
+    return _discontinuities(canonical_instance(start, circle, path_type))
 
 
 def analytic_derivative(
@@ -301,8 +303,9 @@ def analytic_derivative(
     coordinate.  Raises AtDiscontinuityError within
     ``discontinuity_tolerance`` of a detected discontinuity.
     """
+    ci = canonical_instance(start, circle, path_type)
     if known_discontinuities is None:
-        known_discontinuities = discontinuities(start, circle, path_type)
+        known_discontinuities = _discontinuities(ci)
     a = normalize_angle(alpha)
     for disc in known_discontinuities:
         gap = abs(wrap_to_pi(a - disc.alpha))
@@ -312,7 +315,6 @@ def analytic_derivative(
                 f"(discontinuity at {disc.alpha!r})"
             )
     r = circle.radius
-    ci = canonical_instance(start, circle, path_type)
     if rotational_relation(path_type, circle.direction) is RotationalRelation.CO_ROTATIONAL:
         return ci.alpha_sign * r
     _, _, phi2, _, feasible = canonical_terms_scalar(ci, ci.to_canonical_alpha(a))
@@ -326,7 +328,7 @@ def analytic_derivative(
 # ---------------------------------------------------------------------------
 
 
-def _feasible_pieces(ci: CanonicalInstance, breaks: list[float], scan: int):
+def _feasible_pieces(ci: CanonicalInstance, breaks: list[float]):
     """Smooth canonical-alpha intervals, clipped to feasible runs.
 
     Pieces are (lo, hi, lo_is_jump, hi_is_jump) with hi possibly > 2*pi
@@ -349,74 +351,52 @@ def _feasible_pieces(ci: CanonicalInstance, breaks: list[float], scan: int):
 
     pieces = []
     for lo, hi in intervals:
-        grid = np.linspace(lo, hi, max(16, int((hi - lo) / (TWO_PI / scan)) + 2))
+        grid = np.linspace(lo, hi, max(16, int((hi - lo) / (TWO_PI / SCAN_SAMPLES)) + 2))
         feas = rsl_terms(ci, grid)[4]
-        if feas.all():
-            pieces.append((lo, hi, jump_edges, jump_edges))
-            continue
-        # split into maximal feasible runs at the grid resolution
-        run_start = None
-        for idx, ok in enumerate(feas):
-            if ok and run_start is None:
-                run_start = idx
-            if (not ok or idx == len(feas) - 1) and run_start is not None:
-                run_end = idx if ok else idx - 1
-                if run_end > run_start:
-                    pieces.append(
-                        (
-                            grid[run_start],
-                            grid[run_end],
-                            jump_edges and run_start == 0,
-                            jump_edges and run_end == len(feas) - 1,
-                        )
+        # maximal feasible runs feas[first:stop] at the grid resolution
+        padded = np.concatenate(([False], feas, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        for first, stop in edges.reshape(-1, 2).tolist():
+            last = stop - 1
+            if last > first:
+                pieces.append(
+                    (
+                        grid[first],
+                        grid[last],
+                        jump_edges and first == 0,
+                        jump_edges and last == len(feas) - 1,
                     )
-                run_start = None
+                )
     return pieces
 
 
-def _stationary_points(ci: CanonicalInstance, piece, scan: int):
+def _stationary_points(ci: CanonicalInstance, piece):
     """(canonical alpha, is_minimum) for derivative roots inside a piece."""
     lo, hi, _, _ = piece
     span = hi - lo
     if span <= 4.0 * BISECT_TOL:
         return []
     inset = max(1e-9, 1e-9 * span)
-    m = max(8, int(span / (TWO_PI / scan)) + 1)
+    m = max(8, int(span / (TWO_PI / SCAN_SAMPLES)) + 1)
     grid = np.linspace(lo + inset, hi - inset, m)
     terms = lsl_terms(ci, grid) if ci.kind is PathType.LSL else rsl_terms(ci, grid)
     r = ci.r
     deriv = r - 2.0 * r * np.cos(terms[2])
+    fa, fb = deriv[:-1], deriv[1:]
+    flagged = ((fa == 0.0) & ~np.isnan(fb)) | (fa * fb < 0.0)
 
     def d_scalar(a: float) -> float:
         _, _, phi2, _, feasible = canonical_terms_scalar(ci, a)
         return r - 2.0 * r * math.cos(phi2) if feasible else math.nan
 
     roots = []
-    for k in range(m - 1):
-        fa, fb = deriv[k], deriv[k + 1]
-        if math.isnan(fa) or math.isnan(fb):
-            continue
-        if fa == 0.0:
-            roots.append((grid[k], fb > 0.0))
-        elif fa * fb < 0.0:
-            root = _bisect_root(d_scalar, grid[k], grid[k + 1], fa)
-            roots.append((root, fa < 0.0))
-    return roots
-
-
-def _bisect_root(f: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
-    for _ in range(ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= ROOT_TOL:
-            return mid
-        fm = f(mid)
-        if math.isnan(fm):
-            return mid
-        if flo * fm <= 0.0:
-            hi = mid
+    for k in np.flatnonzero(flagged):
+        if fa[k] == 0.0:
+            roots.append((grid[k], fb[k] > 0.0))
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            root = _bisect(d_scalar, grid[k], grid[k + 1], fa[k], ROOT_TOL)
+            roots.append((root, fa[k] < 0.0))
+    return roots
 
 
 def _world_extremum(
@@ -450,8 +430,6 @@ def shortest_for_type(
     start: Configuration,
     circle: TargetCircle,
     path_type: PathType,
-    *,
-    scan: int = SCAN_SAMPLES,
 ) -> ExtremumReport:
     """Extrema, discontinuities, and the global minimum for one CSC type.
 
@@ -464,7 +442,7 @@ def shortest_for_type(
     relation = rotational_relation(path_type, circle.direction)
     ok = assumption_check(start, circle)
     ci = canonical_instance(start, circle, path_type)
-    discs = discontinuities(start, circle, path_type, scan=scan)
+    discs = _discontinuities(ci)
 
     if relation is RotationalRelation.CO_ROTATIONAL:
         alpha_min = discs[0].alpha
@@ -481,14 +459,14 @@ def shortest_for_type(
         )
 
     breaks = [ci.to_canonical_alpha(d.alpha) % TWO_PI for d in discs]
-    pieces = _feasible_pieces(ci, breaks, scan)
+    pieces = _feasible_pieces(ci, breaks)
 
     minima: list[Extremum] = []
     maxima: list[Extremum] = []
     candidates: list[tuple[float, float, str]] = []  # (length, world alpha, kind)
 
     for piece in pieces:
-        for a_c, is_min in _stationary_points(ci, piece, scan):
+        for a_c, is_min in _stationary_points(ci, piece):
             a_w = ci.to_world_alpha(a_c)
             extremum = _world_extremum(start, circle, path_type, a_w)
             if is_min:
@@ -501,7 +479,7 @@ def shortest_for_type(
             a_w = ci.to_world_alpha(edge % TWO_PI)
             kind = KIND_DISCONTINUITY if is_jump else KIND_BOUNDARY
             for side in (-SIDE_PROBE, SIDE_PROBE):
-                length = closed_form_length(start, circle, path_type, a_w + side)
+                length = _length(ci, a_w + side)
                 if not math.isnan(length):
                     candidates.append((length, a_w, kind))
 
@@ -564,9 +542,7 @@ def _jump_minimum(
     )
 
 
-def shortest_to_circle(
-    start: Configuration, circle: TargetCircle, *, scan: int = SCAN_SAMPLES
-) -> SolveResult:
+def shortest_to_circle(start: Configuration, circle: TargetCircle) -> SolveResult:
     """Shortest CSC path over all four types.
 
     Ties within 1e-9*r resolve to the first type in the fixed order LSL,
@@ -577,7 +553,7 @@ def shortest_to_circle(
     reports = {}
     for pt in _TYPE_ORDER:
         try:
-            reports[pt] = shortest_for_type(start, circle, pt, scan=scan)
+            reports[pt] = shortest_for_type(start, circle, pt)
         except InfeasiblePathError:
             continue
     if not reports:

@@ -268,6 +268,76 @@ class TestDiscontinuities:
                         for k in jump_idx
                     ), f"spurious detection at {d.alpha}"
 
+    def test_near_start_counts_match_sweep(self):
+        # Within 4r the one-or-three count fails: LSL-cw gets a single
+        # phi1-wrap (at alpha = 0), and RSL-cw keeps only one of its two
+        # phi1-wraps because the other falls where RSL does not exist.
+        n = 200000
+        cases = (
+            (PathType.LSL, (0.5, 1.0), [solver_mod.CAUSE_PHI1], False),
+            (PathType.RSL, (-1.75, 1.75), [solver_mod.CAUSE_PHI2, solver_mod.CAUSE_PHI1], True),
+        )
+        for ptype, center, causes, partly_infeasible in cases:
+            circle = TargetCircle(center, 1.0, CW)
+            detected = discontinuities(ORIGIN, circle, ptype)
+            assert [d.cause for d in detected] == causes
+            result = sweep(ORIGIN, circle, ptype, n=n)
+            assert (not result.feasible.all()) is partly_infeasible
+            diffs = np.diff(np.append(result.lengths, result.lengths[0]))
+            mids = result.alphas[np.abs(diffs) > 0.1] + math.pi / n
+            assert len(mids) == len(detected)
+            for d in detected:
+                assert min(abs(wrap_to_pi(d.alpha - m)) for m in mids) <= 1e-4
+            for m in mids:
+                assert min(abs(wrap_to_pi(d.alpha - m)) for d in detected) <= 1e-4
+
+    @staticmethod
+    def _zero_crossings_cell_loop(f, vals, grid):
+        """Reference: the per-cell loop that ``_zero_crossings`` vectorises."""
+        bisect, tol = solver_mod._bisect, solver_mod.BISECT_TOL
+        guard = solver_mod.NEAR_WRAP_GUARD
+        n = len(grid)
+        roots = []
+        for k in range(n):
+            a, b = grid[k], grid[k] + (grid[1] - grid[0])
+            fa, fb = vals[k], vals[(k + 1) % n]
+            if math.isnan(fa) or math.isnan(fb) or max(abs(fa), abs(fb)) > math.pi / 2:
+                continue
+            if fa == 0.0:
+                roots.append(a)
+            elif fa * fb < 0.0:
+                roots.append(bisect(f, a, b, fa, tol))
+            elif abs(fa) < guard and abs(fb) < guard:
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if not math.isnan(fm) and fa * fm < 0.0:
+                    roots += [bisect(f, a, mid, fa, tol), bisect(f, mid, b, fm, tol)]
+        return roots
+
+    def test_zero_crossings_match_cell_loop(self):
+        # f is positive at every grid point with a crossing pair inside
+        # every cell; vals adds an exact zero outside the guard, a NaN, a
+        # sign change to a value past pi/2 and a plain sign change
+        def f(x):
+            return 0.01 - 0.3 * math.sin(32.0 * x) ** 2
+
+        vals = np.full(64, 0.01)
+        vals[[5, 6, 9, 19, 20, 30]] = [0.0, 0.5, math.nan, -0.02, 3.0, -0.02]
+        cases = [(f, vals, np.arange(64) * (TWO_PI / 64))]
+        grid = np.arange(solver_mod.SCAN_SAMPLES) * (TWO_PI / solver_mod.SCAN_SAMPLES)
+        near = [(PathType.LSL, (0.5, 1.0)), (PathType.RSL, (-1.75, 1.75))]
+        far = [(pt, random_instance(random.Random(s)).circle.center)
+               for s in range(3) for pt in (PathType.LSL, PathType.RSL)]
+        for ptype, center in near + far:
+            ci = solver_mod.canonical_instance(ORIGIN, TargetCircle(center, 1.0, CW), ptype)
+            cases.append((lambda x, ci=ci: solver_mod._phi1_wrap_scalar(ci, x),
+                          solver_mod._phi1_wrap_grid(ci, grid), grid))
+            cases.append((lambda x, ci=ci: solver_mod._phi2_wrap_scalar(ci, x),
+                          solver_mod._phi2_wrap_grid(ci, grid), grid))
+        for func, vals, cells in cases:
+            expected = self._zero_crossings_cell_loop(func, vals, cells)
+            assert solver_mod._zero_crossings(func, vals, cells) == expected
+
 
 class TestGlobalMinima:
     def test_matches_refined_sweep(self):
