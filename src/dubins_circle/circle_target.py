@@ -13,9 +13,11 @@ target circle decides the whole shape of the length function:
   first arc and straight segment are constant, and the length is a
   sawtooth of slope r with its minimum at the degenerate CS path.
 * counter-rotational: the length is piecewise smooth with derivative
-  ``r - 2*r*cos(phi2)``; stationary extrema sit at phi2 = pi/3 (minima)
-  and 5*pi/3 (maxima), where the straight segment's line passes through
-  the circle center.
+  ``r - 2*r*cos(phi2)``; stationary extrema sit at phi2 = pi/3 or
+  5*pi/3, where the straight segment's line passes through the circle
+  center.  Under the 4r assumption (``assumption_check``) the pi/3
+  points are minima and the 5*pi/3 points maxima; nearer starts can
+  also give a minimum at 5*pi/3.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from .geometry import (
     normalize_angle,
     to_canonical,
 )
-from .paths import CscPath, PathType, csc_between
-
-INNER_TANGENT_REL_TOL = 1e-12
+from .paths import INNER_TANGENT_REL_TOL, CscPath, PathType, csc_between
 
 
 class RotationDirection(enum.Enum):

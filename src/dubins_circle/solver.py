@@ -3,10 +3,12 @@
 The length of a fixed CSC type as a function of the arrival angle alpha
 jumps by 2*pi*r wherever one of the arc angles wraps through zero modulo
 2*pi.  Between jumps the function is smooth (counter-rotational) or
-linear with slope r (co-rotational).  The solver locates every wrap,
-splits [0, 2*pi) into smooth pieces, finds the stationary points of the
-derivative ``r - 2*r*cos(phi2)`` on each piece, and takes the global
-minimum over stationary minima and one-sided jump values.
+linear with slope r (co-rotational).  The solver finds every wrap by a
+4096-sample scan with bisection, and solves the other events in closed
+form, each a root of ``p*cos(a) + q*sin(a) = k`` in the canonical frame:
+the stationary points of the derivative ``r - 2*r*cos(phi2)``, the RSL
+feasibility boundaries and the LSL cusp.  The global minimum is the least
+of the stationary minima and the one-sided values at every event.
 
 Under the 4r assumption (``assumption_check``) wraps of the first arc
 come in pairs: the first arc wraps where the goal-side turn centre,
@@ -19,8 +21,9 @@ phi1-wraps with opposite-sign jumps). Nearer starts give other counts;
 with the start at the origin heading along +x and r = 1, centre
 (0.5, 1.0) gives LSL-cw a single phi1-wrap, and centre (-1.75, 1.75)
 gives RSL-cw two discontinuities because one phi1-wrap falls where RSL
-does not exist. The global minimum occasionally sits at a jump rather
-than at a phi2 = pi/3 stationary point.
+does not exist. Under the assumption stationary minima sit at
+phi2 = pi/3 and maxima at 5*pi/3; nearer starts can also give a minimum
+at 5*pi/3.
 """
 
 from __future__ import annotations
@@ -46,14 +49,15 @@ from .circle_target import (
 )
 from .errors import AtDiscontinuityError, InfeasiblePathError
 from .geometry import Configuration, HALF_PI, TWO_PI, normalize_angle, wrap_to_pi
-from .paths import CscPath, PathType
+from .paths import DEGENERATE_CENTER_TOL, CscPath, PathType
 
 SCAN_SAMPLES = 4096
 BISECT_TOL = 1e-12
-ROOT_TOL = 1e-10
 ROOT_MAX_ITER = 200
 JUMP_PROBE = 1e-7
 SIDE_PROBE = 1e-9
+# a closed-form stationary root must reproduce its phi2 this closely
+PHI2_TOL = 1e-6
 TIE_REL_TOL = 1e-9
 # cells whose endpoints are this close to a wrap get a midpoint probe to
 # catch crossing pairs that do not change the endpoint sign
@@ -328,82 +332,70 @@ def analytic_derivative(
 # ---------------------------------------------------------------------------
 
 
-def _feasible_pieces(ci: CanonicalInstance, breaks: list[float]):
-    """Smooth canonical-alpha intervals, clipped to feasible runs.
-
-    Pieces are (lo, hi, lo_is_jump, hi_is_jump) with hi possibly > 2*pi
-    for the cyclic wrap-around piece.
-    """
-    if breaks:
-        anchors = sorted(breaks)
-        intervals = [
-            (anchors[i], anchors[i + 1] if i + 1 < len(anchors) else anchors[0] + TWO_PI)
-            for i in range(len(anchors))
-        ]
-        jump_edges = True
-    else:
-        intervals = [(0.0, TWO_PI)]
-        jump_edges = False
-
-    if ci.kind is PathType.LSL or not ci.cw:
-        # LSL always feasible; co-rotational RSL feasibility is alpha-free
-        return [(lo, hi, jump_edges, jump_edges) for lo, hi in intervals]
-
-    pieces = []
-    for lo, hi in intervals:
-        grid = np.linspace(lo, hi, max(16, int((hi - lo) / (TWO_PI / SCAN_SAMPLES)) + 2))
-        feas = rsl_terms(ci, grid)[4]
-        # maximal feasible runs feas[first:stop] at the grid resolution
-        padded = np.concatenate(([False], feas, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        for first, stop in edges.reshape(-1, 2).tolist():
-            last = stop - 1
-            if last > first:
-                pieces.append(
-                    (
-                        grid[first],
-                        grid[last],
-                        jump_edges and first == 0,
-                        jump_edges and last == len(feas) - 1,
-                    )
-                )
-    return pieces
+def _cos_sin_roots(p: float, q: float, k: float) -> tuple[float, ...]:
+    """Canonical angles a with p*cos(a) + q*sin(a) = k; none past tangency."""
+    rho = math.hypot(p, q)
+    if rho == 0.0 or abs(k) > rho:
+        return ()
+    beta = math.atan2(q, p)
+    half = math.acos(k / rho)
+    return (beta - half, beta + half)
 
 
-def _stationary_points(ci: CanonicalInstance, piece):
-    """(canonical alpha, is_minimum) for derivative roots inside a piece."""
-    lo, hi, _, _ = piece
-    span = hi - lo
-    if span <= 4.0 * BISECT_TOL:
-        return []
-    inset = max(1e-9, 1e-9 * span)
-    m = max(8, int(span / (TWO_PI / SCAN_SAMPLES)) + 1)
-    grid = np.linspace(lo + inset, hi - inset, m)
-    terms = lsl_terms(ci, grid) if ci.kind is PathType.LSL else rsl_terms(ci, grid)
+def _centre_offset(ci: CanonicalInstance) -> tuple[float, float, float]:
+    """(V0x, V0y, s): the turn-centre vector is V(a) = V0 + 2r*(cos a, sin a),
+    and a straight segment at heading h is tangent to both turn circles where
+    n(h).V(a) = s, n(h) being the left normal."""
     r = ci.r
-    deriv = r - 2.0 * r * np.cos(terms[2])
-    fa, fb = deriv[:-1], deriv[1:]
-    flagged = ((fa == 0.0) & ~np.isnan(fb)) | (fa * fb < 0.0)
-
-    def d_scalar(a: float) -> float:
-        _, _, phi2, _, feasible = canonical_terms_scalar(ci, a)
-        return r - 2.0 * r * math.cos(phi2) if feasible else math.nan
-
-    roots = []
-    for k in np.flatnonzero(flagged):
-        if fa[k] == 0.0:
-            roots.append((grid[k], fb[k] > 0.0))
-        else:
-            root = _bisect(d_scalar, grid[k], grid[k + 1], fa[k], ROOT_TOL)
-            roots.append((root, fa[k] < 0.0))
-    return roots
+    if ci.kind is PathType.LSL:
+        return ci.c, ci.d - r, 0.0
+    return ci.c - r, ci.d, 2.0 * r
 
 
-def _world_extremum(
-    start: Configuration, circle: TargetCircle, path_type: PathType, alpha_world: float
-) -> Extremum:
-    evaluation = length_at_alpha(start, circle, path_type, alpha_world)
-    return Extremum(alpha=alpha_world, length=evaluation.length, phi2=evaluation.path.phi2)
+def _stationary_points(
+    ci: CanonicalInstance, discs: tuple[Discontinuity, ...]
+) -> list[tuple[float, bool]]:
+    """(world alpha, is_minimum) where the straight line meets the centre.
+
+    There phi2 is pi/3 or 5*pi/3 and the straight heading h = a + delta,
+    delta = -pi/2 - phi2, so tangency n(h).V(a) = s is linear in cos a and
+    sin a.  A root counts when the kernel confirms its phi2 and the
+    derivative changes sign across it; that sign, not phi2, tells a minimum
+    from a maximum.  Roots on a discontinuity are left to its one-sided
+    values.
+    """
+    vx, vy, s = _centre_offset(ci)
+    r = ci.r
+
+    def deriv(a: float) -> float:
+        return r - 2.0 * r * math.cos(canonical_terms_scalar(ci, a)[2])
+
+    out = []
+    for phi in (math.pi / 3.0, 5.0 * math.pi / 3.0):
+        sd, cd = math.sin(-HALF_PI - phi), math.cos(-HALF_PI - phi)
+        for a in _cos_sin_roots(vy * cd - vx * sd, -vx * cd - vy * sd, s + 2.0 * r * sd):
+            a_w = ci.to_world_alpha(a)
+            if any(abs(wrap_to_pi(a_w - d.alpha)) <= JUMP_PROBE for d in discs):
+                continue
+            if not abs(canonical_terms_scalar(ci, a)[2] - phi) <= PHI2_TOL:
+                continue
+            before, after = deriv(a - JUMP_PROBE), deriv(a + JUMP_PROBE)
+            if before * after < 0.0:
+                out.append((a_w, before < 0.0))
+    return out
+
+
+def _feasibility_events(ci: CanonicalInstance) -> list[tuple[float, str]]:
+    """(world alpha, kind) of RSL's feasibility boundaries |V(a)| = 2r, or of
+    LSL's cusp V(a) = 0 when |V0| = 2r: a 2*pi*r jump where both arc angles
+    jump by pi instead of wrapping, so the wrap scan does not report it."""
+    vx, vy, _ = _centre_offset(ci)
+    if ci.kind is PathType.RSL:
+        roots = _cos_sin_roots(vx, vy, -(vx * vx + vy * vy) / (4.0 * ci.r))
+        return [(ci.to_world_alpha(a), KIND_BOUNDARY) for a in roots]
+    if abs(math.hypot(vx, vy) - 2.0 * ci.r) <= DEGENERATE_CENTER_TOL * ci.r:
+        return [(ci.to_world_alpha(math.atan2(-vy, -vx)), KIND_DISCONTINUITY)]
+    return []
 
 
 def _degenerate_cs_minimum(
@@ -434,10 +426,9 @@ def shortest_for_type(
     """Extrema, discontinuities, and the global minimum for one CSC type.
 
     Co-rotational types get the closed-form degenerate-CS minimum at the
-    angle where the final arc vanishes.  Counter-rotational types are
-    searched piece by piece: stationary minima satisfy phi2 = pi/3 and
-    maxima phi2 = 5*pi/3; one-sided values at every jump complete the
-    global-minimum candidate set.
+    angle where the final arc vanishes.  Counter-rotational types take the
+    least of their stationary minima and the one-sided values at every
+    wrap, feasibility boundary and cusp.
     """
     relation = rotational_relation(path_type, circle.direction)
     ok = assumption_check(start, circle)
@@ -458,30 +449,24 @@ def shortest_for_type(
             assumption_ok=ok,
         )
 
-    breaks = [ci.to_canonical_alpha(d.alpha) % TWO_PI for d in discs]
-    pieces = _feasible_pieces(ci, breaks)
-
     minima: list[Extremum] = []
     maxima: list[Extremum] = []
     candidates: list[tuple[float, float, str]] = []  # (length, world alpha, kind)
 
-    for piece in pieces:
-        for a_c, is_min in _stationary_points(ci, piece):
-            a_w = ci.to_world_alpha(a_c)
-            extremum = _world_extremum(start, circle, path_type, a_w)
-            if is_min:
-                minima.append(extremum)
-                candidates.append((extremum.length, a_w, KIND_STATIONARY))
-            else:
-                maxima.append(extremum)
-        lo, hi, lo_jump, hi_jump = piece
-        for edge, is_jump in ((lo, lo_jump), (hi, hi_jump)):
-            a_w = ci.to_world_alpha(edge % TWO_PI)
-            kind = KIND_DISCONTINUITY if is_jump else KIND_BOUNDARY
-            for side in (-SIDE_PROBE, SIDE_PROBE):
-                length = _length(ci, a_w + side)
-                if not math.isnan(length):
-                    candidates.append((length, a_w, kind))
+    for a_w, is_min in _stationary_points(ci, discs):
+        evaluation = length_at_alpha(start, circle, path_type, a_w)
+        extremum = Extremum(alpha=a_w, length=evaluation.length, phi2=evaluation.path.phi2)
+        if is_min:
+            minima.append(extremum)
+            candidates.append((extremum.length, a_w, KIND_STATIONARY))
+        else:
+            maxima.append(extremum)
+    events = [(d.alpha, KIND_DISCONTINUITY) for d in discs] + _feasibility_events(ci)
+    for a_w, kind in events:
+        for side in (-SIDE_PROBE, SIDE_PROBE):
+            length = _length(ci, a_w + side)
+            if not math.isnan(length):
+                candidates.append((length, a_w, kind))
 
     if not candidates:
         raise InfeasiblePathError(

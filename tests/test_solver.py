@@ -10,6 +10,7 @@ import pytest
 from dubins_circle import (
     AtDiscontinuityError,
     Configuration,
+    InfeasiblePathError,
     PathType,
     RotationDirection,
     RotationalRelation,
@@ -32,14 +33,6 @@ TWO_PI = 2.0 * math.pi
 PI_3 = math.pi / 3.0
 ORIGIN = Configuration(0, 0, 0)
 CW, CCW = RotationDirection.CW, RotationDirection.CCW
-
-
-def counter_rotational_instances(rng, count):
-    out = []
-    while len(out) < count:
-        inst = random_instance(rng)
-        out.append(inst)
-    return out
 
 
 class TestDegenerateInstance:
@@ -370,6 +363,74 @@ class TestGlobalMinima:
         assert len(report.minima) == 1
         assert report.minima[0].phi2 == pytest.approx(PI_3, abs=1e-6)
         assert report.minima[0].length > report.global_min.length
+
+
+class TestNearStartMinima:
+    """Starts within 4r, where RSL/LSR exist on part of the circle only."""
+
+    def test_boundary_winners_touch(self):
+        # a minimum on a feasibility boundary lies where the turn circles
+        # touch, L_cc = 2r, not at the last feasible sample of a grid
+        boundary_winners = 0
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            for _ in range(60):
+                dist, angle = rng.uniform(1.2, 5.0), rng.uniform(0.0, TWO_PI)
+                direction = CW if rng.random() < 0.5 else CCW
+                center = (dist * math.cos(angle), dist * math.sin(angle))
+                circle = TargetCircle(center, 1.0, direction)
+                for ptype in PathType:
+                    try:
+                        report = shortest_for_type(ORIGIN, circle, ptype)
+                    except InfeasiblePathError:
+                        continue
+                    if report.global_min.kind == "feasibility-boundary":
+                        boundary_winners += 1
+                        lcc = report.global_min.path.rsl_diag.lcc
+                        assert lcc == pytest.approx(2.0, abs=1e-6)
+        assert boundary_winners > 0
+
+    def test_degenerate_minima(self):
+        cases = (
+            # coincident turn circles: a single arc of pi
+            (PathType.LSL, (0, 3), CW, math.pi),
+            (PathType.RSR, (0, -3), CCW, math.pi),
+            # isolated points where phi1 touches 0 without wrapping
+            (PathType.RSL, (0, 3), CW, math.pi),
+            (PathType.LSR, (1, -3), CCW, math.pi + 1.0),
+        )
+        for ptype, center, direction, expected in cases:
+            report = shortest_for_type(ORIGIN, TargetCircle(center, 1.0, direction), ptype)
+            assert report.global_min.length == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the wrap scan misses a phi1-wrap beside the feasibility boundary "
+        "(FOUND line on RSL-cw (2, 0.5) in CHANGES.md)",
+    )
+    def test_wrap_beside_boundary_reaches_sweep_minimum(self):
+        for ptype, center, direction in (
+            (PathType.RSL, (2, 0.5), CW),
+            (PathType.LSR, (2, -0.5), CCW),
+        ):
+            circle = TargetCircle(center, 1.0, direction)
+            grid_min = np.nanmin(sweep(ORIGIN, circle, ptype, n=200000).lengths)
+            report = shortest_for_type(ORIGIN, circle, ptype)
+            assert report.global_min.length <= grid_min + 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a touch point of the phi1-wrap locus is reached only when a one-sided "
+        "probe lands on it (FOUND line on RSL-cw (0.5, 3) in CHANGES.md)",
+    )
+    def test_touch_point_minimum_is_mirror_invariant(self):
+        # the path with phi1 = 0, ls = 0.5 and phi2 = pi
+        for ptype, center, direction in (
+            (PathType.RSL, (0.5, 3), CW),
+            (PathType.LSR, (0.5, -3), CCW),
+        ):
+            report = shortest_for_type(ORIGIN, TargetCircle(center, 1.0, direction), ptype)
+            assert report.global_min.length == pytest.approx(math.pi + 0.5, abs=1e-6)
 
 
 class TestMirrorSymmetry:
