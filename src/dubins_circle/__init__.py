@@ -62,7 +62,7 @@ from .solver import (
     shortest_for_type,
     shortest_to_circle,
 )
-from .sweep import RefinedMinimum, SweepResult, SweepSample, refine_min, sweep
+from .sweep import RefinedMinimum, SweepResult, refine_min, sweep
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "SolveResult",
     "SweepPlot",
     "SweepResult",
-    "SweepSample",
     "TargetCircle",
     "analytic_derivative",
     "assumption_check",

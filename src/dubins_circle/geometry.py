@@ -75,13 +75,6 @@ class Configuration:
             raise ValueError(f"position must be finite, got ({self.x!r}, {self.y!r})")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-    def heading_vector(self) -> tuple[float, float]:
-        return (math.cos(self.theta), math.sin(self.theta))
-
 
 @dataclass(frozen=True)
 class FrameTransform:

@@ -3,9 +3,11 @@
 The length of a fixed CSC type as a function of the arrival angle alpha
 jumps by 2*pi*r wherever one of the arc angles wraps through zero modulo
 2*pi.  Between jumps the function is smooth (counter-rotational) or
-linear with slope r (co-rotational).  The solver finds every wrap by a
-4096-sample scan with bisection, and solves the other events in closed
-form, each a root of ``p*cos(a) + q*sin(a) = k`` in the canonical frame:
+linear with slope r (co-rotational).  The solver finds every wrap by
+scanning the family kernel's phi1 and phi2, folded to (-pi, pi], on 4096
+samples and bisecting each zero crossing on the scalar kernel.  It solves
+the other events in closed form, each a root of
+``p*cos(a) + q*sin(a) = k`` in the canonical frame:
 the stationary points of the derivative ``r - 2*r*cos(phi2)``, the RSL
 feasibility boundaries and the LSL cusp.  The global minimum is the least
 of the stationary minima and the one-sided values at every event.
@@ -120,83 +122,6 @@ class SolveResult:
     tie: bool
 
 
-# ---------------------------------------------------------------------------
-# wrap proximity: signed angular distance of each arc angle from its wrap
-# ---------------------------------------------------------------------------
-
-
-def _phi1_wrap_scalar(ci: CanonicalInstance, a: float) -> float:
-    c, d, r = ci.c, ci.d, ci.r
-    if ci.kind is PathType.LSL:
-        if ci.cw:
-            dx = c + 2.0 * r * math.cos(a)
-            dy = d + 2.0 * r * math.sin(a) - r
-        else:
-            dx, dy = c, d - r
-        return math.atan2(dy, dx)
-    if ci.cw:
-        wx = c + 2.0 * r * math.cos(a) - r
-        wy = d + 2.0 * r * math.sin(a)
-    else:
-        wx, wy = c - r, d
-    lcc = math.hypot(wx, wy)
-    ls2 = lcc * lcc - 4.0 * r * r
-    if ls2 < 0.0:
-        return math.nan
-    psi1 = math.atan2(wy, wx)
-    psi2 = math.atan2(2.0 * r, math.sqrt(ls2))
-    return wrap_to_pi(-psi1 + psi2 + HALF_PI)
-
-
-def _phi2_wrap_scalar(ci: CanonicalInstance, a: float) -> float:
-    _, phi1, _, _, feasible = canonical_terms_scalar(ci, a)
-    if not feasible:
-        return math.nan
-    theta = a - HALF_PI if ci.cw else a + HALF_PI
-    if ci.kind is PathType.LSL:
-        return wrap_to_pi(theta - phi1)
-    return wrap_to_pi(theta + phi1 - HALF_PI)
-
-
-def _phi1_wrap_grid(ci: CanonicalInstance, alphas: np.ndarray) -> np.ndarray:
-    c, d, r = ci.c, ci.d, ci.r
-    if ci.kind is PathType.LSL:
-        if ci.cw:
-            dx = c + 2.0 * r * np.cos(alphas)
-            dy = d + 2.0 * r * np.sin(alphas) - r
-        else:
-            dx = np.full_like(alphas, c)
-            dy = np.full_like(alphas, d - r)
-        return np.arctan2(dy, dx)
-    if ci.cw:
-        wx = c + 2.0 * r * np.cos(alphas) - r
-        wy = d + 2.0 * r * np.sin(alphas)
-    else:
-        wx = np.full_like(alphas, c - r)
-        wy = np.full_like(alphas, d)
-    lcc = np.hypot(wx, wy)
-    ls2 = lcc * lcc - 4.0 * r * r
-    with np.errstate(invalid="ignore"):
-        ls = np.sqrt(np.where(ls2 < 0.0, np.nan, ls2))
-    psi1 = np.arctan2(wy, wx)
-    psi2 = np.arctan2(2.0 * r, ls)
-    return _wrap_to_pi_array(-psi1 + psi2 + HALF_PI)
-
-
-def _phi2_wrap_grid(ci: CanonicalInstance, alphas: np.ndarray) -> np.ndarray:
-    terms = lsl_terms(ci, alphas) if ci.kind is PathType.LSL else rsl_terms(ci, alphas)
-    phi1 = terms[1]
-    theta = alphas - HALF_PI if ci.cw else alphas + HALF_PI
-    if ci.kind is PathType.LSL:
-        return _wrap_to_pi_array(theta - phi1)
-    return _wrap_to_pi_array(theta + phi1 - HALF_PI)
-
-
-def _wrap_to_pi_array(a: np.ndarray) -> np.ndarray:
-    b = np.mod(a, TWO_PI)
-    return np.where(b > math.pi, b - TWO_PI, b)
-
-
 def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, tol: float) -> float:
     for _ in range(ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -213,7 +138,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, tol: 
 
 
 def _zero_crossings(f: Callable[[float], float], vals: np.ndarray, grid: np.ndarray) -> list[float]:
-    """Angles where the wrap-proximity function crosses zero.
+    """Angles where f, an arc angle folded to (-pi, pi], crosses zero.
 
     ``vals`` holds f on the cyclic grid.  Sign changes with both ends
     within pi/2 of zero are bisected (this excludes the harmless branch
@@ -228,8 +153,8 @@ def _zero_crossings(f: Callable[[float], float], vals: np.ndarray, grid: np.ndar
     step = grid[1] - grid[0]
     roots: list[float] = []
     for k in np.flatnonzero(flagged):
-        a, b = grid[k], grid[k] + step
-        fa, fb = vals[k], nxt[k]
+        a, b = float(grid[k]), float(grid[k] + step)
+        fa, fb = float(vals[k]), float(nxt[k])
         if fa == 0.0:
             roots.append(a)
         elif fa * fb < 0.0:
@@ -253,13 +178,16 @@ def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]
         a0 = phi1 - HALF_PI if ci.kind is PathType.LSL else -phi1
         return [(a0 % TWO_PI, CAUSE_PHI2)]
     grid = np.arange(SCAN_SAMPLES) * (TWO_PI / SCAN_SAMPLES)
+    terms = lsl_terms(ci, grid) if ci.kind is PathType.LSL else rsl_terms(ci, grid)
     found: list[tuple[float, str]] = []
-    w1 = _phi1_wrap_grid(ci, grid)
-    for a in _zero_crossings(lambda x: _phi1_wrap_scalar(ci, x), w1, grid):
-        found.append((a % TWO_PI, CAUSE_PHI1))
-    w2 = _phi2_wrap_grid(ci, grid)
-    for a in _zero_crossings(lambda x: _phi2_wrap_scalar(ci, x), w2, grid):
-        found.append((a % TWO_PI, CAUSE_PHI2))
+    for i, cause in ((1, CAUSE_PHI1), (2, CAUSE_PHI2)):
+        # a wrap is a zero crossing of the arc angle folded to (-pi, pi];
+        # NaN from an infeasible sample passes through both folds
+        def folded(x: float, i: int = i) -> float:
+            return wrap_to_pi(canonical_terms_scalar(ci, x)[i])
+
+        vals = np.where(terms[i] > math.pi, terms[i] - TWO_PI, terms[i])
+        found += [(a % TWO_PI, cause) for a in _zero_crossings(folded, vals, grid)]
     return found
 
 

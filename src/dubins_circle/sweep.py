@@ -29,16 +29,6 @@ MAX_SLOPE_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
-class SweepSample:
-    alpha: float
-    length: float  # NaN when infeasible
-    phi1: float
-    phi2: float
-    ls: float
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class SweepResult:
     path_type: PathType
     direction: str
@@ -49,20 +39,6 @@ class SweepResult:
     phi2: np.ndarray
     ls: np.ndarray
     feasible: np.ndarray
-
-    @property
-    def samples(self) -> list[SweepSample]:
-        return [
-            SweepSample(
-                alpha=float(self.alphas[k]),
-                length=float(self.lengths[k]),
-                phi1=float(self.phi1[k]),
-                phi2=float(self.phi2[k]),
-                ls=float(self.ls[k]),
-                feasible=bool(self.feasible[k]),
-            )
-            for k in range(self.n)
-        ]
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from dubins_circle import (
     wrap_to_pi,
 )
 from dubins_circle import solver as solver_mod
+from dubins_circle.circle_target import canonical_terms_scalar, lsl_terms, rsl_terms
 from dubins_circle.instances import random_instance
 from dubins_circle.sweep import refine_min, sweep
 
@@ -284,6 +285,20 @@ class TestDiscontinuities:
             for m in mids:
                 assert min(abs(wrap_to_pi(d.alpha - m)) for d in detected) <= 1e-4
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the wrap scan reports a phi1-wrap where the first-arc wrap locus is "
+        "tangent to the start ray (FOUND line on RSR-ccw (10, 1) in CHANGES.md)",
+    )
+    def test_tangent_wrap_locus_gives_one_discontinuity(self):
+        # phi1 touches 0 without wrapping where phi2 wraps: one 2*pi*r jump
+        for ptype, center, direction, alpha in (
+            (PathType.RSR, (10, 1), CCW, 1.5 * math.pi),
+            (PathType.LSL, (10, -1), CW, 0.5 * math.pi),
+        ):
+            detected = discontinuities(ORIGIN, TargetCircle(center, 1.0, direction), ptype)
+            assert sum(abs(wrap_to_pi(d.alpha - alpha)) <= 1e-6 for d in detected) == 1
+
     @staticmethod
     def _zero_crossings_cell_loop(f, vals, grid):
         """Reference: the per-cell loop that ``_zero_crossings`` vectorises."""
@@ -323,10 +338,12 @@ class TestDiscontinuities:
                for s in range(3) for pt in (PathType.LSL, PathType.RSL)]
         for ptype, center in near + far:
             ci = solver_mod.canonical_instance(ORIGIN, TargetCircle(center, 1.0, CW), ptype)
-            cases.append((lambda x, ci=ci: solver_mod._phi1_wrap_scalar(ci, x),
-                          solver_mod._phi1_wrap_grid(ci, grid), grid))
-            cases.append((lambda x, ci=ci: solver_mod._phi2_wrap_scalar(ci, x),
-                          solver_mod._phi2_wrap_grid(ci, grid), grid))
+            terms = (lsl_terms if ptype is PathType.LSL else rsl_terms)(ci, grid)
+            for i in (1, 2):
+                # the kernel's phi1 or phi2 folded from [0, 2*pi) to (-pi, pi]
+                vals = np.where(terms[i] > math.pi, terms[i] - TWO_PI, terms[i])
+                cases.append((lambda x, ci=ci, i=i: wrap_to_pi(canonical_terms_scalar(ci, x)[i]),
+                              vals, grid))
         for func, vals, cells in cases:
             expected = self._zero_crossings_cell_loop(func, vals, cells)
             assert solver_mod._zero_crossings(func, vals, cells) == expected
@@ -363,6 +380,29 @@ class TestGlobalMinima:
         assert len(report.minima) == 1
         assert report.minima[0].phi2 == pytest.approx(PI_3, abs=1e-6)
         assert report.minima[0].length > report.global_min.length
+
+    def test_results_are_plain_floats(self):
+        far = [random_instance(random.Random(s)) for s in range(1, 4)]
+        near = [(0, 3), (0.5, 3), (2, 0.5), (1, -3), (-1.75, 1.75)]
+        scenes = [(inst.start, inst.circle) for inst in far] + [
+            (ORIGIN, TargetCircle(center, 1.0, direction))
+            for center in near
+            for direction in (CW, CCW)
+        ]
+        checked = 0
+        for start, circle in scenes:
+            for ptype in PathType:
+                try:
+                    report = shortest_for_type(start, circle, ptype)
+                except InfeasiblePathError:
+                    continue
+                g, path = report.global_min, report.global_min.path
+                values = [g.alpha, g.length, g.phi2, path.phi1, path.ls, path.phi2,
+                          path.total_length]
+                values += [d.alpha for d in report.discontinuities]
+                assert all(type(v) is float for v in values), (ptype, circle, values)
+                checked += 1
+        assert checked > 40
 
 
 class TestNearStartMinima:

@@ -36,15 +36,6 @@ def test_grid_is_uniform_and_complete():
     assert result.alphas[-1] < TWO_PI
 
 
-def test_samples_view_matches_arrays():
-    result = sweep(ORIGIN, DEGENERATE, PathType.LSL, n=16)
-    samples = result.samples
-    assert len(samples) == 16
-    assert samples[3].alpha == result.alphas[3]
-    assert samples[3].length == result.lengths[3]
-    assert samples[3].feasible is True
-
-
 def test_sweep_matches_constructor_route():
     rng = random.Random(51)
     inst = random_instance(rng)
