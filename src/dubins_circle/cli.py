@@ -22,7 +22,7 @@ from .circle_target import (
     perpendicular_distance_to_center,
     rotational_relation,
 )
-from .errors import DubinsCircleError
+from .errors import DubinsCircleError, InfeasiblePathError
 from .export import PathScene, SweepPlot, export_sweep_csv, render_svg
 from .geometry import TWO_PI, wrap_to_pi
 from .instances import Instance, InstanceFormatError, load_instance, random_instance
@@ -239,11 +239,16 @@ def run_checks(instances: list[Instance], tolerance: float, n: int, seed: int):
         start, circle = instance.start, instance.circle
         r = circle.radius
         for ptype in _ORDER:
-            report = shortest_for_type(start, circle, ptype)
+            try:
+                report = shortest_for_type(start, circle, ptype)
+            except InfeasiblePathError:
+                continue  # possible only within 4r, as in shortest_to_circle
             relation = rotational_relation(ptype, circle.direction)
 
             for a in _smooth_alphas(report, rng, 6):
                 cf = closed_form_length(start, circle, ptype, a)
+                if math.isnan(cf):
+                    continue  # the type does not exist at this alpha
                 ev = length_at_alpha(start, circle, ptype, a)
                 diff = abs(cf - ev.length) / max(1.0, ev.length)
                 worst["closed-form-vs-constructor"] = max(
@@ -259,11 +264,17 @@ def run_checks(instances: list[Instance], tolerance: float, n: int, seed: int):
                 )
 
             if relation is RotationalRelation.COUNTER_ROTATIONAL:
-                for extremum, target in [(e, math.pi / 3.0) for e in report.minima] + [
-                    (e, 5.0 * math.pi / 3.0) for e in report.maxima
-                ]:
+                low, high = math.pi / 3.0, 5.0 * math.pi / 3.0
+                if report.assumption_ok:
+                    targets = [(e, (low,)) for e in report.minima]
+                    targets += [(e, (high,)) for e in report.maxima]
+                else:
+                    # nearer starts can also give a minimum at 5*pi/3
+                    targets = [(e, (low, high)) for e in report.minima + report.maxima]
+                for extremum, phis in targets:
                     worst["counter-extremum-phi2"] = max(
-                        worst["counter-extremum-phi2"], abs(extremum.phi2 - target)
+                        worst["counter-extremum-phi2"],
+                        min(abs(extremum.phi2 - phi) for phi in phis),
                     )
                     ev = length_at_alpha(start, circle, ptype, extremum.alpha)
                     dist = perpendicular_distance_to_center(ev.path, circle)

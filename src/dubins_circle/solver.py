@@ -3,14 +3,18 @@
 The length of a fixed CSC type as a function of the arrival angle alpha
 jumps by 2*pi*r wherever one of the arc angles wraps through zero modulo
 2*pi.  Between jumps the function is smooth (counter-rotational) or
-linear with slope r (co-rotational).  The solver finds every wrap by
-scanning the family kernel's phi1 and phi2, folded to (-pi, pi], on 4096
-samples and bisecting each zero crossing on the scalar kernel.  It solves
-the other events in closed form, each a root of
-``p*cos(a) + q*sin(a) = k`` in the canonical frame:
+linear with slope r (co-rotational).
+
+Each type is solved in its canonical frame, so a scene and its mirror
+image share one computation, and every event is a canonical angle in
+[0, 2*pi).  Wraps come from scanning the kernel's phi1 and phi2, folded
+to (-pi, pi], on 4096 samples and bisecting each zero crossing on the
+scalar kernel.  The other events are roots of ``p*cos(a) + q*sin(a) = k``:
 the stationary points of the derivative ``r - 2*r*cos(phi2)``, the RSL
-feasibility boundaries and the LSL cusp.  The global minimum is the least
-of the stationary minima and the one-sided values at every event.
+feasibility boundaries and the LSL cusp.  The candidates are (kernel
+length, alpha, side, kind): stationary minima at side 0, and both
+one-sided values at every wrap, boundary and cusp.  Only the least gets
+a path, built at alpha + side; world angles appear only in the report.
 
 Under the 4r assumption (``assumption_check``) wraps of the first arc
 come in pairs: the first arc wraps where the goal-side turn centre,
@@ -191,19 +195,15 @@ def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]
     return found
 
 
-def _length(ci: CanonicalInstance, alpha_world: float) -> float:
-    """``closed_form_length`` on an already reduced instance."""
-    return canonical_terms_scalar(ci, ci.to_canonical_alpha(normalize_angle(alpha_world)))[0]
-
-
-def _discontinuities(ci: CanonicalInstance) -> tuple[Discontinuity, ...]:
+def _discontinuities(
+    ci: CanonicalInstance, wraps: list[tuple[float, str]]
+) -> tuple[Discontinuity, ...]:
     out = []
-    for a_c, cause in _canonical_discontinuities(ci):
-        a_w = ci.to_world_alpha(a_c)
-        jump = _length(ci, a_w + JUMP_PROBE) - _length(ci, a_w - JUMP_PROBE)
-        out.append(Discontinuity(alpha=a_w, jump=jump, cause=cause))
-    out.sort(key=lambda disc: disc.alpha)
-    return tuple(out)
+    for a, cause in wraps:
+        after, before = (canonical_terms_scalar(ci, a + p)[0] for p in (JUMP_PROBE, -JUMP_PROBE))
+        # the mirrored types' reduction reverses the world alpha order
+        out.append(Discontinuity(ci.to_world_alpha(a), ci.alpha_sign * (after - before), cause))
+    return tuple(sorted(out, key=lambda disc: disc.alpha))
 
 
 def discontinuities(
@@ -214,7 +214,8 @@ def discontinuities(
     Each entry carries the signed length jump measured across the wrap in
     world-frame alpha order; its magnitude is 2*pi*r.
     """
-    return _discontinuities(canonical_instance(start, circle, path_type))
+    ci = canonical_instance(start, circle, path_type)
+    return _discontinuities(ci, _canonical_discontinuities(ci))
 
 
 def analytic_derivative(
@@ -237,7 +238,7 @@ def analytic_derivative(
     """
     ci = canonical_instance(start, circle, path_type)
     if known_discontinuities is None:
-        known_discontinuities = _discontinuities(ci)
+        known_discontinuities = _discontinuities(ci, _canonical_discontinuities(ci))
     a = normalize_angle(alpha)
     for disc in known_discontinuities:
         gap = abs(wrap_to_pi(a - disc.alpha))
@@ -261,13 +262,14 @@ def analytic_derivative(
 
 
 def _cos_sin_roots(p: float, q: float, k: float) -> tuple[float, ...]:
-    """Canonical angles a with p*cos(a) + q*sin(a) = k; none past tangency."""
+    """Canonical angles a in [0, 2*pi) with p*cos(a) + q*sin(a) = k; none
+    past tangency."""
     rho = math.hypot(p, q)
     if rho == 0.0 or abs(k) > rho:
         return ()
     beta = math.atan2(q, p)
     half = math.acos(k / rho)
-    return (beta - half, beta + half)
+    return ((beta - half) % TWO_PI, (beta + half) % TWO_PI)
 
 
 def _centre_offset(ci: CanonicalInstance) -> tuple[float, float, float]:
@@ -280,17 +282,14 @@ def _centre_offset(ci: CanonicalInstance) -> tuple[float, float, float]:
     return ci.c - r, ci.d, 2.0 * r
 
 
-def _stationary_points(
-    ci: CanonicalInstance, discs: tuple[Discontinuity, ...]
-) -> list[tuple[float, bool]]:
-    """(world alpha, is_minimum) where the straight line meets the centre.
+def _stationary_points(ci: CanonicalInstance, wraps: list[float]) -> list[tuple[float, bool]]:
+    """(canonical alpha, is_minimum) where the straight line meets the centre.
 
     There phi2 is pi/3 or 5*pi/3 and the straight heading h = a + delta,
     delta = -pi/2 - phi2, so tangency n(h).V(a) = s is linear in cos a and
     sin a.  A root counts when the kernel confirms its phi2 and the
     derivative changes sign across it; that sign, not phi2, tells a minimum
-    from a maximum.  Roots on a discontinuity are left to its one-sided
-    values.
+    from a maximum.  Roots on a wrap are left to its one-sided values.
     """
     vx, vy, s = _centre_offset(ci)
     r = ci.r
@@ -302,46 +301,49 @@ def _stationary_points(
     for phi in (math.pi / 3.0, 5.0 * math.pi / 3.0):
         sd, cd = math.sin(-HALF_PI - phi), math.cos(-HALF_PI - phi)
         for a in _cos_sin_roots(vy * cd - vx * sd, -vx * cd - vy * sd, s + 2.0 * r * sd):
-            a_w = ci.to_world_alpha(a)
-            if any(abs(wrap_to_pi(a_w - d.alpha)) <= JUMP_PROBE for d in discs):
+            if any(abs(wrap_to_pi(a - w)) <= JUMP_PROBE for w in wraps):
                 continue
             if not abs(canonical_terms_scalar(ci, a)[2] - phi) <= PHI2_TOL:
                 continue
             before, after = deriv(a - JUMP_PROBE), deriv(a + JUMP_PROBE)
             if before * after < 0.0:
-                out.append((a_w, before < 0.0))
+                out.append((a, before < 0.0))
     return out
 
 
 def _feasibility_events(ci: CanonicalInstance) -> list[tuple[float, str]]:
-    """(world alpha, kind) of RSL's feasibility boundaries |V(a)| = 2r, or of
-    LSL's cusp V(a) = 0 when |V0| = 2r: a 2*pi*r jump where both arc angles
-    jump by pi instead of wrapping, so the wrap scan does not report it."""
+    """(canonical alpha, kind) of RSL's feasibility boundaries |V(a)| = 2r, or
+    of LSL's cusp V(a) = 0 when |V0| = 2r: a 2*pi*r jump where both arc
+    angles jump by pi instead of wrapping, so the wrap scan does not report
+    it."""
     vx, vy, _ = _centre_offset(ci)
     if ci.kind is PathType.RSL:
         roots = _cos_sin_roots(vx, vy, -(vx * vx + vy * vy) / (4.0 * ci.r))
-        return [(ci.to_world_alpha(a), KIND_BOUNDARY) for a in roots]
+        return [(a, KIND_BOUNDARY) for a in roots]
     if abs(math.hypot(vx, vy) - 2.0 * ci.r) <= DEGENERATE_CENTER_TOL * ci.r:
-        return [(ci.to_world_alpha(math.atan2(-vy, -vx)), KIND_DISCONTINUITY)]
+        return [(math.atan2(-vy, -vx) % TWO_PI, KIND_DISCONTINUITY)]
     return []
 
 
-def _degenerate_cs_minimum(
-    start: Configuration, circle: TargetCircle, path_type: PathType, alpha_world: float
+def _global_minimum(
+    start: Configuration,
+    circle: TargetCircle,
+    path_type: PathType,
+    ci: CanonicalInstance,
+    a: float,
+    side: float,
+    kind: str,
 ) -> GlobalMinimum:
-    """Build the two-segment CS minimum, pinning the vanished arc to zero."""
-    evaluation = length_at_alpha(start, circle, path_type, alpha_world)
-    path = evaluation.path
-    if path.phi2 > math.pi:
-        # rounding pushed the wrapped arc onto the 2*pi branch
-        path = dataclasses.replace(
-            path, phi2=0.0, total_length=path.ls + path.r * path.phi1
-        )
+    """Build the winning path at canonical alpha a + side; report alpha a."""
+    path = length_at_alpha(start, circle, path_type, ci.to_world_alpha(a + side)).path
+    if kind == KIND_DEGENERATE and path.phi2 > math.pi:
+        # rounding pushed the vanished final arc onto the 2*pi branch
+        path = dataclasses.replace(path, phi2=0.0, total_length=path.ls + path.r * path.phi1)
     return GlobalMinimum(
-        alpha=alpha_world,
+        alpha=ci.to_world_alpha(a),
         length=path.total_length,
         phi2=path.phi2,
-        kind=KIND_DEGENERATE,
+        kind=kind,
         path=path,
     )
 
@@ -353,65 +355,42 @@ def shortest_for_type(
 ) -> ExtremumReport:
     """Extrema, discontinuities, and the global minimum for one CSC type.
 
-    Co-rotational types get the closed-form degenerate-CS minimum at the
-    angle where the final arc vanishes.  Counter-rotational types take the
-    least of their stationary minima and the one-sided values at every
-    wrap, feasibility boundary and cusp.
+    Co-rotational types get the degenerate-CS minimum at the angle where
+    the final arc vanishes.  Counter-rotational types take the least of
+    their stationary minima and the one-sided values at every wrap,
+    feasibility boundary and cusp.  Every candidate is a canonical angle
+    evaluated on the scalar kernel; only the winner gets a path.
     """
     relation = rotational_relation(path_type, circle.direction)
-    ok = assumption_check(start, circle)
     ci = canonical_instance(start, circle, path_type)
-    discs = _discontinuities(ci)
-
-    if relation is RotationalRelation.CO_ROTATIONAL:
-        alpha_min = discs[0].alpha
-        global_min = _degenerate_cs_minimum(start, circle, path_type, alpha_min)
-        minimum = Extremum(alpha=alpha_min, length=global_min.length, phi2=global_min.phi2)
-        return ExtremumReport(
-            path_type=path_type,
-            relation=relation,
-            minima=(minimum,),
-            maxima=(),
-            discontinuities=discs,
-            global_min=global_min,
-            assumption_ok=ok,
-        )
-
+    wraps = _canonical_discontinuities(ci)
     minima: list[Extremum] = []
     maxima: list[Extremum] = []
-    candidates: list[tuple[float, float, str]] = []  # (length, world alpha, kind)
 
-    for a_w, is_min in _stationary_points(ci, discs):
-        evaluation = length_at_alpha(start, circle, path_type, a_w)
-        extremum = Extremum(alpha=a_w, length=evaluation.length, phi2=evaluation.path.phi2)
-        if is_min:
-            minima.append(extremum)
-            candidates.append((extremum.length, a_w, KIND_STATIONARY))
-        else:
-            maxima.append(extremum)
-    events = [(d.alpha, KIND_DISCONTINUITY) for d in discs] + _feasibility_events(ci)
-    for a_w, kind in events:
-        for side in (-SIDE_PROBE, SIDE_PROBE):
-            length = _length(ci, a_w + side)
-            if not math.isnan(length):
-                candidates.append((length, a_w, kind))
-
-    if not candidates:
-        raise InfeasiblePathError(
-            f"{path_type.value} has no feasible arrival angle for this instance"
-        )
-    best_length, best_alpha, best_kind = min(candidates, key=lambda cand: cand[0])
-    if best_kind == KIND_STATIONARY:
-        evaluation = length_at_alpha(start, circle, path_type, best_alpha)
-        global_min = GlobalMinimum(
-            alpha=best_alpha,
-            length=evaluation.length,
-            phi2=evaluation.path.phi2,
-            kind=KIND_STATIONARY,
-            path=evaluation.path,
-        )
+    if relation is RotationalRelation.CO_ROTATIONAL:
+        a = wraps[0][0]  # the final arc vanishes at its only wrap
+        global_min = _global_minimum(start, circle, path_type, ci, a, 0.0, KIND_DEGENERATE)
+        minima.append(Extremum(global_min.alpha, global_min.length, global_min.phi2))
     else:
-        global_min = _jump_minimum(start, circle, path_type, best_alpha, best_kind)
+        # (kernel length, canonical alpha, side, kind)
+        candidates: list[tuple[float, float, float, str]] = []
+        for a, is_min in _stationary_points(ci, [a for a, _ in wraps]):
+            length, _, phi2, _, _ = canonical_terms_scalar(ci, a)
+            (minima if is_min else maxima).append(Extremum(ci.to_world_alpha(a), length, phi2))
+            if is_min:
+                candidates.append((length, a, 0.0, KIND_STATIONARY))
+        events = [(a, KIND_DISCONTINUITY) for a, _ in wraps] + _feasibility_events(ci)
+        for a, kind in events:
+            for side in (-SIDE_PROBE, SIDE_PROBE):
+                length = canonical_terms_scalar(ci, a + side)[0]
+                if not math.isnan(length):
+                    candidates.append((length, a, side, kind))
+        if not candidates:
+            raise InfeasiblePathError(
+                f"{path_type.value} has no feasible arrival angle for this instance"
+            )
+        _, a, side, kind = min(candidates, key=lambda cand: cand[0])
+        global_min = _global_minimum(start, circle, path_type, ci, a, side, kind)
 
     minima.sort(key=lambda e: e.alpha)
     maxima.sort(key=lambda e: e.alpha)
@@ -420,38 +399,9 @@ def shortest_for_type(
         relation=relation,
         minima=tuple(minima),
         maxima=tuple(maxima),
-        discontinuities=discs,
+        discontinuities=_discontinuities(ci, wraps),
         global_min=global_min,
-        assumption_ok=ok,
-    )
-
-
-def _jump_minimum(
-    start: Configuration,
-    circle: TargetCircle,
-    path_type: PathType,
-    alpha_world: float,
-    kind: str,
-) -> GlobalMinimum:
-    """Global minimum attained at a jump: take the lower one-sided path."""
-    sides = []
-    for side in (-SIDE_PROBE, SIDE_PROBE):
-        try:
-            evaluation = length_at_alpha(start, circle, path_type, alpha_world + side)
-        except InfeasiblePathError:
-            continue
-        sides.append(evaluation)
-    if not sides:
-        raise InfeasiblePathError(
-            f"{path_type.value} infeasible on both sides of alpha={alpha_world!r}"
-        )
-    best = min(sides, key=lambda ev: ev.length)
-    return GlobalMinimum(
-        alpha=normalize_angle(alpha_world),
-        length=best.length,
-        phi2=best.path.phi2,
-        kind=kind,
-        path=best.path,
+        assumption_ok=assumption_check(start, circle),
     )
 
 

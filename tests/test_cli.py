@@ -8,7 +8,7 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from dubins_circle import cli
+from dubins_circle import PathType, cli, load_instance, shortest_for_type
 
 
 def write_instance(tmp_path, name="inst.json", **overrides):
@@ -212,6 +212,45 @@ class TestCheck:
         code, out, _ = run_cli(["check", "--random", "4", "--seed", "3"])
         assert code == 3
         assert "overall: FAIL" in out
+
+    @pytest.mark.parametrize(
+        "center, direction",
+        [
+            # RSL has no inner tangent at any alpha
+            ((-1.75, -1.75), "ccw"),
+            # RSL does not exist at one of the sampled alphas
+            ((-3.0, 0.0), "cw"),
+        ],
+    )
+    def test_near_start_infeasible_types_are_skipped(self, tmp_path, center, direction):
+        circle = {"cx": center[0], "cy": center[1], "r": 1.0, "direction": direction}
+        code, out, err = run_cli(["check", write_instance(tmp_path, circle=circle)])
+        assert (code, err) == (0, "")
+        assert "overall: PASS (8/8 checks, 1 instances)" in out
+
+    def test_near_start_minimum_at_five_pi_thirds(self, tmp_path):
+        circle = {"cx": -1.75, "cy": -1.75, "r": 1.0, "direction": "cw"}
+        inst = write_instance(tmp_path, circle=circle)
+        instance = load_instance(inst)
+        report = shortest_for_type(instance.start, instance.circle, PathType.RSL)
+        assert report.assumption_ok is False
+        assert [e.phi2 for e in report.minima] == pytest.approx([5 * math.pi / 3], abs=1e-9)
+        code, out, _ = run_cli(["check", inst])
+        assert code == 0
+        assert "overall: PASS" in out
+
+    def test_far_extrema_keep_their_phi2(self, monkeypatch):
+        # under the 4r assumption a minimum at 5*pi/3 is a solver fault
+        real = cli.shortest_for_type
+
+        def swapped(start, circle, ptype, **kwargs):
+            report = real(start, circle, ptype, **kwargs)
+            return dataclasses.replace(report, minima=report.maxima, maxima=report.minima)
+
+        monkeypatch.setattr(cli, "shortest_for_type", swapped)
+        code, out, _ = run_cli(["check", "--random", "4", "--seed", "3"])
+        assert code == 3
+        assert "counter-extremum-phi2              FAIL" in out
 
     def test_requires_instances(self):
         code, _, err = run_cli(["check"])

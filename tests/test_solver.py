@@ -458,11 +458,6 @@ class TestNearStartMinima:
             report = shortest_for_type(ORIGIN, circle, ptype)
             assert report.global_min.length <= grid_min + 1e-6
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a touch point of the phi1-wrap locus is reached only when a one-sided "
-        "probe lands on it (FOUND line on RSL-cw (0.5, 3) in CHANGES.md)",
-    )
     def test_touch_point_minimum_is_mirror_invariant(self):
         # the path with phi1 = 0, ls = 0.5 and phi2 = pi
         for ptype, center, direction in (
@@ -476,12 +471,21 @@ class TestNearStartMinima:
 class TestMirrorSymmetry:
     def test_reports_swap_under_mirroring(self):
         rng = random.Random(419)
-        for _ in range(25):
-            inst = random_instance(rng)
-            start, circle = inst.start, inst.circle
+        scenes = [(inst.start, inst.circle) for inst in (random_instance(rng) for _ in range(25))]
+        # near starts: (k/4, +-3) crosses the touch points of the first-arc
+        # wrap locus, and (0.5, -1) ccw has a type that exists nowhere
+        scenes += [(ORIGIN, TargetCircle((k / 4, y), 1.0, direction))
+                   for k in range(13) for y in (3, -3) for direction in (CW, CCW)]
+        scenes.append((ORIGIN, TargetCircle((0.5, -1.0), 1.0, CCW)))
+        for start, circle in scenes:
             _, mirrored_circle, _ = mirror_problem(start, circle)
             for ptype in PathType:
-                rep = shortest_for_type(start, circle, ptype)
+                try:
+                    rep = shortest_for_type(start, circle, ptype)
+                except InfeasiblePathError:
+                    with pytest.raises(InfeasiblePathError):
+                        shortest_for_type(start, mirrored_circle, ptype.mirrored)
+                    continue
                 rep_m = shortest_for_type(start, mirrored_circle, ptype.mirrored)
                 assert rep.global_min.length == pytest.approx(
                     rep_m.global_min.length, abs=1e-9
