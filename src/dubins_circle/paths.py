@@ -55,10 +55,6 @@ class PathType(enum.Enum):
         swap = str.maketrans("LR", "RL")
         return PathType(self.value.translate(swap))
 
-    @property
-    def inner_tangent(self) -> bool:
-        return self.first_turn != self.second_turn
-
 
 @dataclass(frozen=True)
 class InnerTangentDiag:

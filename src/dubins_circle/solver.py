@@ -65,6 +65,8 @@ SIDE_PROBE = 1e-9
 # a closed-form stationary root must reproduce its phi2 this closely
 PHI2_TOL = 1e-6
 TIE_REL_TOL = 1e-9
+# analytic_derivative refuses angles this close to a discontinuity (rad)
+DISCONTINUITY_TOL = 1e-9
 # cells whose endpoints are this close to a wrap get a midpoint probe to
 # catch crossing pairs that do not change the endpoint sign
 NEAR_WRAP_GUARD = 0.05
@@ -225,7 +227,6 @@ def analytic_derivative(
     alpha: float,
     *,
     known_discontinuities: Optional[tuple[Discontinuity, ...]] = None,
-    discontinuity_tolerance: float = 1e-9,
 ) -> float:
     """Derivative of the path length with respect to the arrival angle.
 
@@ -233,8 +234,8 @@ def analytic_derivative(
     co-rotational: the constant slope ``r`` up to orientation.  The sign
     is positive when the second arc turns counter-clockwise (LSL, RSL)
     and negative for RSR/LSR, whose reduction mirrors the angular
-    coordinate.  Raises AtDiscontinuityError within
-    ``discontinuity_tolerance`` of a detected discontinuity.
+    coordinate.  Raises AtDiscontinuityError within ``DISCONTINUITY_TOL``
+    of a detected discontinuity.
     """
     ci = canonical_instance(start, circle, path_type)
     if known_discontinuities is None:
@@ -242,7 +243,7 @@ def analytic_derivative(
     a = normalize_angle(alpha)
     for disc in known_discontinuities:
         gap = abs(wrap_to_pi(a - disc.alpha))
-        if gap <= discontinuity_tolerance:
+        if gap <= DISCONTINUITY_TOL:
             raise AtDiscontinuityError(
                 f"length derivative undefined at alpha={alpha!r} "
                 f"(discontinuity at {disc.alpha!r})"

@@ -1,10 +1,12 @@
 """Brute-force sweep of the circle-goal length function.
 
 Ground truth for extremum, derivative, and discontinuity claims: evaluate
-the length on a uniform angle grid, then refine the best sample with a
-jump-aware golden-section search.  The sweep never consults the solver's
-wrap analysis; jumps are recognized purely from length differences, which
-keeps the two routes independent.
+the length on a uniform angle grid, then refine the best sample by
+re-sampling a shrinking bracket around it.  The refinement compares
+length values only, so minima at stationary points, at 2*pi*r jumps and
+on feasibility boundaries are all reached the same way, and the sweep
+never consults the solver's event equations, which keeps the two routes
+independent.
 """
 
 from __future__ import annotations
@@ -14,24 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_target import TargetCircle, closed_form_length, closed_form_table
+from .circle_target import (
+    TargetCircle,
+    canonical_instance,
+    canonical_terms_scalar,
+    closed_form_table,
+)
 from .errors import InfeasiblePathError
-from .geometry import Configuration, TWO_PI
+from .geometry import Configuration, TWO_PI, normalize_angle
 from .paths import PathType
 
-GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_TOL = 1e-10
+REFINE_CELLS = 8  # sub-cells per refinement round; the bracket shrinks by 4
 FLAT_TOL = 1e-9
-JUMP_SIDE = 1e-9
-# |dL/dalpha| never exceeds 3r on smooth pieces; intervals violating this
-# bound (with margin) contain a 2*pi*r jump
-MAX_SLOPE_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
 class SweepResult:
     path_type: PathType
-    direction: str
     n: int
     alphas: np.ndarray
     lengths: np.ndarray
@@ -58,7 +60,6 @@ def sweep(
     table = closed_form_table(start, circle, path_type, alphas)
     return SweepResult(
         path_type=path_type,
-        direction=circle.direction.value,
         n=n,
         alphas=alphas,
         lengths=table["length"],
@@ -69,87 +70,39 @@ def sweep(
     )
 
 
-def _contains_jump(la: float, lb: float, width: float, r: float) -> bool:
-    return abs(lb - la) > MAX_SLOPE_FACTOR * r * width + r
-
-
-def _locate_jump(f, lo: float, hi: float, r: float, iters: int = 80) -> float:
-    """Binary search for the jump inside [lo, hi] using only length values."""
-    flo, fhi = f(lo), f(hi)
-    for _ in range(iters):
-        if hi - lo <= REFINE_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if math.isinf(fm):
-            break
-        if _contains_jump(flo, fm, mid - lo, r):
-            hi, fhi = mid, fm
-        elif _contains_jump(fm, fhi, hi - mid, r):
-            lo, flo = mid, fm
-        else:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum; tolerates kinks but not jumps."""
-    c = hi - GOLDEN_INV * (hi - lo)
-    d = lo + GOLDEN_INV * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > REFINE_TOL:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN_INV * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN_INV * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
-
-
 def refine_min(result: SweepResult, start: Configuration, circle: TargetCircle) -> RefinedMinimum:
     """Refine the best grid sample to 1e-10 rad.
 
-    The bracket around the best sample is split at any length jump it
-    contains before golden-section search; one-sided values next to the
-    jump join the candidate set, so sawtooth minima are found exactly.
+    Each round samples the bracket, one cell either side of the best
+    point, at REFINE_CELLS sub-cells on the scalar kernel, moves to the
+    least finite value and shrinks the bracket to one sub-cell.  The old
+    best is kept when no sample beats it, since rounding can put a
+    re-sampled centre across a jump.  Jumps, kinks and feasibility
+    boundaries need no special case.
     """
-    lengths = result.lengths
     if not bool(result.feasible.any()):
         raise InfeasiblePathError("every sweep sample is infeasible")
-    k = int(np.nanargmin(lengths))
-    r = circle.radius
-    step = TWO_PI / result.n
-    lo = result.alphas[k] - step
-    hi = result.alphas[k] + step
+    k = int(np.nanargmin(result.lengths))
+    ci = canonical_instance(start, circle, result.path_type)
 
     def f(a: float) -> float:
-        length = closed_form_length(start, circle, result.path_type, a)
+        length = canonical_terms_scalar(ci, ci.to_canonical_alpha(normalize_angle(a)))[0]
         return math.inf if math.isnan(length) else length
 
-    candidates: list[tuple[float, float]] = [(float(lengths[k]), float(result.alphas[k]))]
-    flo, fhi = f(lo), f(hi)
-    segments = []
-    if math.isinf(flo) or math.isinf(fhi) or not _contains_jump(flo, fhi, hi - lo, r):
-        segments.append((lo, hi))
-    else:
-        a_jump = _locate_jump(f, lo, hi, r)
-        segments.append((lo, a_jump - JUMP_SIDE))
-        segments.append((a_jump + JUMP_SIDE, hi))
-        for side in (a_jump - JUMP_SIDE, a_jump + JUMP_SIDE):
-            value = f(side)
-            if not math.isinf(value):
-                candidates.append((value, a_jump))
-    for seg_lo, seg_hi in segments:
-        if seg_hi - seg_lo <= REFINE_TOL:
-            continue
-        alpha, value = _golden_min(f, seg_lo, seg_hi)
-        if not math.isinf(value):
-            candidates.append((value, alpha))
+    step = TWO_PI / result.n
+    grid_alpha = float(result.alphas[k])
+    best_alpha, best_length = grid_alpha, float(result.lengths[k])
+    half = step
+    while half > REFINE_TOL:
+        cell = 2.0 * half / REFINE_CELLS
+        lo = best_alpha - half
+        for i in range(REFINE_CELLS + 1):
+            a = lo + i * cell
+            value = f(a)
+            if value < best_length:
+                best_alpha, best_length = a, value
+        half = cell
 
-    best_length, best_alpha = min(candidates)
-    flat = max(flo, fhi) - best_length <= FLAT_TOL * r
+    edge = max(f(grid_alpha - step), f(grid_alpha + step))
+    flat = edge - best_length <= FLAT_TOL * circle.radius
     return RefinedMinimum(alpha=best_alpha % TWO_PI, length=best_length, flat=flat)

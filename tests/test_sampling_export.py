@@ -97,7 +97,6 @@ def _tiny_sweep_result():
     phi2 = np.array([math.pi / 2, math.pi, 3 * math.pi / 2, 0.0])
     return SweepResult(
         path_type=PT.LSL,
-        direction="ccw",
         n=4,
         alphas=alphas,
         lengths=10.0 + phi2,

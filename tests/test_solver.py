@@ -428,6 +428,12 @@ class TestNearStartMinima:
                         boundary_winners += 1
                         lcc = report.global_min.path.rsl_diag.lcc
                         assert lcc == pytest.approx(2.0, abs=1e-6)
+                        # one-sided: the sweep must reach the boundary
+                        # minimum; a wrap beside the boundary can leave the
+                        # solver above it (ROADMAP item 2)
+                        grid = sweep(ORIGIN, circle, ptype, n=200000)
+                        refined = refine_min(grid, ORIGIN, circle)
+                        assert refined.length <= report.global_min.length + 1e-6
         assert boundary_winners > 0
 
     def test_degenerate_minima(self):

@@ -128,3 +128,12 @@ class TestRefine:
             for d in (-1e-9, 1e-9)
         ]
         assert refined.length == pytest.approx(min(sides), abs=1e-8)
+
+    def test_refines_on_the_scalar_kernel(self):
+        # LSR-cw (3, -1): the straight path of length 3 with phi1 = phi2 = 0;
+        # the vector kernel puts phi1 on the 2*pi branch at the best sample
+        circle = TargetCircle((3, -1), 1.0, RotationDirection.CW)
+        result = sweep(ORIGIN, circle, PathType.LSR, n=4096)
+        assert np.nanmin(result.lengths) == pytest.approx(3.0 + TWO_PI, abs=1e-9)
+        refined = refine_min(result, ORIGIN, circle)
+        assert refined.length == pytest.approx(3.0, abs=1e-9)
