@@ -216,58 +216,128 @@ def canonical_instance(
     )
 
 
+def _fold_two_pi(x):
+    """``np.mod(x, 2*pi)`` in place, bit for bit, for x in (-2*pi, 2*pi).
+
+    This is numpy's own fix-up after ``fmod``: 2*pi is added to negative
+    values, and adding 0.0 everywhere else turns -0.0 into +0.0.  NaN
+    passes through.  An arctan2 result needs nothing more.
+    """
+    x += (x < 0.0) * TWO_PI
+    return x
+
+
+def _mod_two_pi(x):
+    """``np.mod(x, 2*pi)`` in place, bit for bit, for any x.
+
+    ``fmod`` is exact, so only the sign fix-up remains.  The reduction is
+    never ``x - 2*pi*floor(x/(2*pi))``: that rounds, and a rounded reduction
+    could put a sample that lies exactly on a wrap on the other branch
+    and move a length jump (RSR-ccw (10, 1) in CHANGES.md).
+    """
+    np.fmod(x, TWO_PI, out=x)
+    return _fold_two_pi(x)
+
+
+def _turn_center_offset(alpha, r: float, x0: float, y0: float):
+    """(x0 + 2r cos(alpha), y0 + 2r sin(alpha)) as two new arrays."""
+    x = np.cos(alpha, out=np.empty(alpha.shape))
+    x *= 2.0 * r
+    x += x0
+    y = np.sin(alpha, out=np.empty(alpha.shape))
+    y *= 2.0 * r
+    y += y0
+    return x, y
+
+
+def _theta(ci: CanonicalInstance, alpha):
+    """Arrival heading alpha - pi/2 (cw) or alpha + pi/2 (ccw), a new array."""
+    return np.add(alpha, -HALF_PI if ci.cw else HALF_PI, out=np.empty(alpha.shape))
+
+
+def _length(r: float, ls, phi1, phi2):
+    """ls + r*(phi1 + phi2), a new array."""
+    length = np.add(phi1, phi2, out=np.empty(phi2.shape))
+    length *= r
+    length += ls
+    return length
+
+
 def lsl_terms(ci: CanonicalInstance, alpha):
     """Vectorized canonical LSL terms: (length, phi1, phi2, ls, feasible).
 
-    ``alpha`` is a canonical-frame angle (scalar or ndarray).  For the
-    clockwise tangent the center-to-center vector is
+    ``alpha`` is a canonical-frame angle (scalar or ndarray); every output
+    is a new writable C-contiguous array of its shape.  For the clockwise
+    tangent the center-to-center vector is
     (c + 2r cos a, d + 2r sin a - r); for counter-clockwise it collapses
-    to the constant (c, d - r) and the goal-side circle coincides with
-    the target.
+    to the constant (c, d - r), the goal-side circle coincides with the
+    target, and ls and phi1 are evaluated once, on 1-element arrays.
+
+    The arithmetic runs in place but in the order of the plain formulas,
+    so every output is bit-identical to evaluating them with ``np.mod``:
+    the arc angles are reduced by ``fmod`` plus numpy's sign fix-up
+    (``_mod_two_pi``), never by ``floor``.
     """
     alpha = np.asarray(alpha, dtype=float)
     c, d, r = ci.c, ci.d, ci.r
     if ci.cw:
-        theta = alpha - HALF_PI
-        dx = c + 2.0 * r * np.cos(alpha)
-        dy = d + 2.0 * r * np.sin(alpha) - r
+        dx, dy = _turn_center_offset(alpha, r, c, d)
+        dy -= r
     else:
-        theta = alpha + HALF_PI
-        dx = np.broadcast_to(np.float64(c), alpha.shape)
-        dy = np.broadcast_to(np.float64(d - r), alpha.shape)
-    ls = np.hypot(dx, dy)
-    phi1 = np.mod(np.arctan2(dy, dx), TWO_PI)
-    phi2 = np.mod(theta - phi1, TWO_PI)
-    length = ls + r * (phi1 + phi2)
-    return length, phi1, phi2, ls, np.ones(alpha.shape, dtype=bool)
+        dx, dy = np.array([c]), np.array([d - r])
+    ls = np.hypot(dx, dy, out=np.empty_like(dx))
+    phi1 = _fold_two_pi(np.arctan2(dy, dx, out=dx))
+    if not ci.cw:
+        ls, phi1 = np.full(alpha.shape, ls[0]), np.full(alpha.shape, phi1[0])
+    phi2 = _theta(ci, alpha)
+    phi2 -= phi1
+    _mod_two_pi(phi2)
+    return _length(r, ls, phi1, phi2), phi1, phi2, ls, np.ones(alpha.shape, dtype=bool)
 
 
 def rsl_terms(ci: CanonicalInstance, alpha):
     """Vectorized canonical RSL terms: (length, phi1, phi2, ls, feasible).
 
     Infeasible samples (turn-circle centers closer than 2r) carry NaN in
-    every numeric output and False in the feasibility mask.
+    every numeric output and False in the feasibility mask.  Outputs,
+    the once-only co-rotational constants and the bit-identical
+    ``fmod`` reduction are as in ``lsl_terms``.
     """
     alpha = np.asarray(alpha, dtype=float)
     c, d, r = ci.c, ci.d, ci.r
     if ci.cw:
-        theta = alpha - HALF_PI
-        wx = c + 2.0 * r * np.cos(alpha) - r
-        wy = d + 2.0 * r * np.sin(alpha)
+        wx, wy = _turn_center_offset(alpha, r, c, d)
+        wx -= r
     else:
-        theta = alpha + HALF_PI
-        wx = np.broadcast_to(np.float64(c - r), alpha.shape)
-        wy = np.broadcast_to(np.float64(d), alpha.shape)
-    lcc = np.hypot(wx, wy)
-    feasible = lcc >= 2.0 * r * (1.0 - INNER_TANGENT_REL_TOL)
-    ls = np.sqrt(np.clip(lcc * lcc - 4.0 * r * r, 0.0, None))
-    psi1 = np.arctan2(wy, wx)
-    psi2 = np.arctan2(2.0 * r, ls)
-    phi1 = np.mod(-psi1 + psi2 + HALF_PI, TWO_PI)
-    phi2 = np.mod(theta + phi1 - HALF_PI, TWO_PI)
-    length = ls + r * (phi1 + phi2)
-    nan = np.where(feasible, 0.0, np.nan)
-    return length + nan, phi1 + nan, phi2 + nan, ls + nan, feasible
+        wx, wy = np.array([c - r]), np.array([d])
+    lcc = np.hypot(wx, wy, out=np.empty_like(wx))
+    feasible = np.greater_equal(
+        lcc, 2.0 * r * (1.0 - INNER_TANGENT_REL_TOL), out=np.empty(lcc.shape, dtype=bool)
+    )
+    ls = np.multiply(lcc, lcc, out=lcc)
+    ls -= 4.0 * r * r
+    np.sqrt(np.clip(ls, 0.0, None, out=ls), out=ls)
+    # phi1 = (-psi1 + psi2 + pi/2) mod 2*pi with psi1 = arctan2(wy, wx)
+    # and psi2 = arctan2(2r, ls); -psi1 + psi2 is psi2 - psi1 exactly
+    phi1 = np.arctan2(2.0 * r, ls, out=np.empty_like(ls))
+    phi1 -= np.arctan2(wy, wx, out=wx)
+    phi1 += HALF_PI
+    _mod_two_pi(phi1)
+    if not ci.cw:
+        ls, phi1 = np.full(alpha.shape, ls[0]), np.full(alpha.shape, phi1[0])
+        feasible = np.full(alpha.shape, feasible[0])
+    phi2 = _theta(ci, alpha)
+    phi2 += phi1
+    phi2 -= HALF_PI
+    _mod_two_pi(phi2)
+    terms = (_length(r, ls, phi1, phi2), phi1, phi2, ls)
+    if not feasible.all():
+        # adding +0.0 where feasible changes nothing (no output holds
+        # -0.0 there), so an all-feasible call skips the mask
+        nan = np.where(feasible, 0.0, np.nan)
+        for x in terms:
+            x += nan
+    return (*terms, feasible)
 
 
 def closed_form_table(start: Configuration, circle: TargetCircle, path_type: PathType, alphas):
@@ -276,10 +346,15 @@ def closed_form_table(start: Configuration, circle: TargetCircle, path_type: Pat
     Returns a dict with float arrays ``length``, ``phi1``, ``phi2``,
     ``ls`` (NaN where infeasible) and a boolean ``feasible`` mask.  This
     is the specialized-formula route, independent of the pose-to-pose
-    constructors.
+    constructors.  ``alphas`` is reduced to [0, 2*pi) first, unless no
+    angle has its sign bit set (which also catches -0.0) and every angle
+    is below 2*pi: there ``np.mod`` would be the identity bit for bit.
     """
     ci = canonical_instance(start, circle, path_type)
-    a = ci.to_canonical_alpha(np.mod(np.asarray(alphas, dtype=float), TWO_PI))
+    a = np.asarray(alphas, dtype=float)
+    if np.signbit(a).any() or not np.max(a, initial=0.0) < TWO_PI:
+        a = _mod_two_pi(np.array(a))
+    a = ci.to_canonical_alpha(a)
     terms = lsl_terms(ci, a) if ci.kind is PathType.LSL else rsl_terms(ci, a)
     length, phi1, phi2, ls, feasible = terms
     return {"length": length, "phi1": phi1, "phi2": phi2, "ls": ls, "feasible": feasible}

@@ -56,7 +56,9 @@ def sweep(
     """Evaluate the length of one CSC type at alpha_k = 2*pi*k/n, k < n."""
     if n < 16:
         raise ValueError(f"sweep needs n >= 16, got {n}")
-    alphas = np.arange(n) * (TWO_PI / n)
+    # already in [0, 2*pi), so closed_form_table does not reduce it again
+    alphas = np.arange(n, dtype=float)
+    alphas *= TWO_PI / n
     table = closed_form_table(start, circle, path_type, alphas)
     return SweepResult(
         path_type=path_type,

@@ -22,9 +22,20 @@ from dubins_circle import (
     rotational_relation,
     rsl_between,
 )
+from dubins_circle.circle_target import (
+    CanonicalInstance,
+    _fold_two_pi,
+    _mod_two_pi,
+    canonical_instance,
+    lsl_terms,
+    rsl_terms,
+)
 from dubins_circle.instances import random_instance
+from dubins_circle.paths import INNER_TANGENT_REL_TOL
+from dubins_circle.sweep import sweep
 
 TWO_PI = 2.0 * math.pi
+HALF_PI = 0.5 * math.pi
 ORIGIN = Configuration(0, 0, 0)
 
 
@@ -217,3 +228,212 @@ class TestPerpendicularDistance:
         if path.ls == 0.0:
             with pytest.raises(DegenerateDirectionError):
                 perpendicular_distance_to_center(path, circle)
+
+
+# The vector kernels as plain np.mod formulas: the reference that the
+# in-place kernels must reproduce bit for bit.
+
+
+def _reference_lsl_terms(ci, alpha):
+    alpha = np.asarray(alpha, dtype=float)
+    c, d, r = ci.c, ci.d, ci.r
+    if ci.cw:
+        theta = alpha - HALF_PI
+        dx = c + 2.0 * r * np.cos(alpha)
+        dy = d + 2.0 * r * np.sin(alpha) - r
+    else:
+        theta = alpha + HALF_PI
+        dx = np.broadcast_to(np.float64(c), alpha.shape)
+        dy = np.broadcast_to(np.float64(d - r), alpha.shape)
+    ls = np.hypot(dx, dy)
+    phi1 = np.mod(np.arctan2(dy, dx), TWO_PI)
+    phi2 = np.mod(theta - phi1, TWO_PI)
+    length = ls + r * (phi1 + phi2)
+    return length, phi1, phi2, ls, np.ones(alpha.shape, dtype=bool)
+
+
+def _reference_rsl_terms(ci, alpha):
+    alpha = np.asarray(alpha, dtype=float)
+    c, d, r = ci.c, ci.d, ci.r
+    if ci.cw:
+        theta = alpha - HALF_PI
+        wx = c + 2.0 * r * np.cos(alpha) - r
+        wy = d + 2.0 * r * np.sin(alpha)
+    else:
+        theta = alpha + HALF_PI
+        wx = np.broadcast_to(np.float64(c - r), alpha.shape)
+        wy = np.broadcast_to(np.float64(d), alpha.shape)
+    lcc = np.hypot(wx, wy)
+    feasible = lcc >= 2.0 * r * (1.0 - INNER_TANGENT_REL_TOL)
+    ls = np.sqrt(np.clip(lcc * lcc - 4.0 * r * r, 0.0, None))
+    psi1 = np.arctan2(wy, wx)
+    psi2 = np.arctan2(2.0 * r, ls)
+    phi1 = np.mod(-psi1 + psi2 + HALF_PI, TWO_PI)
+    phi2 = np.mod(theta + phi1 - HALF_PI, TWO_PI)
+    length = ls + r * (phi1 + phi2)
+    nan = np.where(feasible, 0.0, np.nan)
+    return length + nan, phi1 + nan, phi2 + nan, ls + nan, feasible
+
+
+def _kernels(ci):
+    if ci.kind is PathType.LSL:
+        return lsl_terms, _reference_lsl_terms
+    return rsl_terms, _reference_rsl_terms
+
+
+def _assert_bytes_equal(got, want):
+    """Equal bit for bit: signed zeros and NaN positions count."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype == bool:
+        assert np.array_equal(got, want)
+    else:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# canonical angles: multiples of pi/2 and pi/4, signed zeros, subnormals,
+# the seam, negative angles and magnitudes up to 1e3
+_SPECIAL_ALPHAS = np.concatenate(
+    [
+        np.arange(-640, 641) * HALF_PI,
+        np.arange(-20, 21) * (0.25 * math.pi),
+        [0.0, -0.0, 5e-324, -5e-324, np.nextafter(TWO_PI, 0.0), TWO_PI, -TWO_PI, 1e3, -1e3],
+        np.random.default_rng(7).uniform(-1e3, 1e3, 2000),
+        np.random.default_rng(8).uniform(-7.0, 7.0, 2000),
+    ]
+)
+_GRID = np.arange(200000) * (TWO_PI / 200000)
+
+
+def _posed_instance(rng, r):
+    """A far instance of turn radius r seen from a random start pose."""
+    inst = random_instance(rng, r)
+    start = Configuration(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(0.0, TWO_PI))
+    cx, cy = inst.circle.center
+    return start, TargetCircle((start.x + cx, start.y + cy), r, inst.circle.direction)
+
+
+def _bit_identity_instances():
+    """Canonical instances of both families, cw and ccw, far and near."""
+    out = []
+    rng = random.Random(211)
+    for k in range(6):
+        start, circle = _posed_instance(rng, (0.37, 1.0, 2.9)[k % 3])
+        for direction in RotationDirection:
+            circle = TargetCircle(circle.center, circle.radius, direction)
+            out += [canonical_instance(start, circle, pt) for pt in PathType]
+    # a near start whose RSL is partly infeasible
+    near = canonical_instance(ORIGIN, TargetCircle((1.5, 1.0), 1.0, "cw"), PathType.RSL)
+    # co-rotational RSL whose turn circles overlap for every alpha
+    never = CanonicalInstance(PathType.RSL, False, 1.5, 0.5, 1.0, 1.0, 0.0)
+    return out + [near, never]
+
+
+class TestKernelBitIdentity:
+    def test_instances_cover_the_cases(self):
+        cases = _bit_identity_instances()
+        assert {(ci.kind, ci.cw) for ci in cases} == {
+            (kind, cw) for kind in (PathType.LSL, PathType.RSL) for cw in (True, False)
+        }
+        feasible = [rsl_terms(ci, _GRID)[4] for ci in cases[-2:]]
+        assert feasible[0].any() and not feasible[0].all()
+        assert not feasible[1].any()
+
+    @pytest.mark.parametrize("alphas", [_SPECIAL_ALPHAS, _GRID], ids=["special", "grid"])
+    def test_matches_np_mod_formulas(self, alphas):
+        for ci in _bit_identity_instances():
+            kernel, reference = _kernels(ci)
+            for got, want in zip(kernel(ci, alphas), reference(ci, alphas)):
+                _assert_bytes_equal(got, want)
+
+    def test_scalar_and_zero_d_alpha(self):
+        for ci in _bit_identity_instances():
+            kernel, reference = _kernels(ci)
+            for alpha in (0.7, -0.0, np.float64(4.0), np.array(1e3)):
+                got = kernel(ci, alpha)
+                assert all(np.ndim(x) == 0 for x in got)
+                for g, w in zip(got, reference(ci, alpha)):
+                    _assert_bytes_equal(g, w)
+
+    def test_table_and_sweep_match_np_mod_route(self):
+        rng = random.Random(223)
+        world = np.concatenate([np.linspace(-50.0, 50.0, 3001), [-0.0, TWO_PI, -TWO_PI]])
+        for k in range(4):
+            start, circle = _posed_instance(rng, (0.37, 2.9)[k % 2])
+            for direction in RotationDirection:
+                circle = TargetCircle(circle.center, circle.radius, direction)
+                for ptype in PathType:
+                    ci = canonical_instance(start, circle, ptype)
+                    reference = _kernels(ci)[1]
+                    result = sweep(start, circle, ptype, n=20011)
+                    grid = np.arange(20011) * (TWO_PI / 20011)
+                    _assert_bytes_equal(result.alphas, grid)
+                    want = reference(ci, ci.to_canonical_alpha(np.mod(grid, TWO_PI)))
+                    got = (result.lengths, result.phi1, result.phi2, result.ls, result.feasible)
+                    for g, w in zip(got, want):
+                        _assert_bytes_equal(g, w)
+                    table = closed_form_table(start, circle, ptype, world)
+                    want = reference(ci, ci.to_canonical_alpha(np.mod(world, TWO_PI)))
+                    for key, w in zip(("length", "phi1", "phi2", "ls", "feasible"), want):
+                        _assert_bytes_equal(table[key], w)
+
+    def test_reduction_helpers_match_np_mod(self):
+        tricky = np.array(
+            [-0.0, 0.0, -5e-324, 5e-324, np.nextafter(TWO_PI, 0.0), TWO_PI, -TWO_PI, 1e6, -1e6,
+             math.pi, -math.pi, np.nan]
+        )
+        _assert_bytes_equal(_mod_two_pi(tricky.copy()), np.mod(tricky, TWO_PI))
+        # the fold alone covers arctan2's range [-pi, pi] and anything in (-2pi, 2pi)
+        folded = tricky[~(np.abs(tricky) >= TWO_PI)]  # keeps the NaN
+        assert folded.size == 8
+        _assert_bytes_equal(_fold_two_pi(folded.copy()), np.mod(folded, TWO_PI))
+        atan = np.arctan2(*np.random.default_rng(9).uniform(-1.0, 1.0, (2, 1000)))
+        _assert_bytes_equal(_fold_two_pi(atan.copy()), np.mod(atan, TWO_PI))
+
+
+class TestVectorContract:
+    """Outputs are fresh arrays; inputs are never written."""
+
+    scenes = [
+        TargetCircle((10, 5), 1.0, RotationDirection.CW),
+        TargetCircle((10, 5), 1.0, RotationDirection.CCW),
+        TargetCircle((1.5, 1.0), 1.0, RotationDirection.CW),
+        TargetCircle((1.5, 1.0), 1.0, RotationDirection.CCW),
+    ]
+
+    @staticmethod
+    def _assert_fresh(arrays, shape, inputs):
+        for k, x in enumerate(arrays):
+            assert isinstance(x, np.ndarray) and x.shape == shape
+            assert x.flags.writeable and x.flags.c_contiguous
+            assert x.dtype == (bool if x is arrays[-1] else np.float64)
+            for other in list(arrays[k + 1:]) + inputs:
+                assert not np.shares_memory(x, other)
+
+    def test_closed_form_table(self):
+        for alphas in (np.linspace(0.0, 5.0, 12).reshape(3, 4), np.linspace(-9.0, 9.0, 7)):
+            before = alphas.copy()
+            for circle in self.scenes:
+                for ptype in PathType:
+                    table = closed_form_table(ORIGIN, circle, ptype, alphas)
+                    arrays = [table[k] for k in ("length", "phi1", "phi2", "ls", "feasible")]
+                    self._assert_fresh(arrays, alphas.shape, [alphas])
+                    _assert_bytes_equal(alphas, before)
+
+    def test_sweep(self):
+        for circle in self.scenes:
+            for ptype in PathType:
+                result = sweep(ORIGIN, circle, ptype, n=64)
+                arrays = [result.lengths, result.phi1, result.phi2, result.ls, result.feasible]
+                self._assert_fresh(arrays, (64,), [result.alphas])
+                _assert_bytes_equal(result.alphas, np.arange(64) * (TWO_PI / 64))
+
+    def test_zero_d_and_scalar_alpha(self):
+        for circle in self.scenes:
+            for ptype in PathType:
+                for alpha in (1.25, np.array(1.25)):
+                    table = closed_form_table(ORIGIN, circle, ptype, alpha)
+                    arrays = [table[k] for k in ("length", "phi1", "phi2", "ls", "feasible")]
+                    self._assert_fresh(arrays, (), [])
+                    expected = closed_form_length(ORIGIN, circle, ptype, 1.25)
+                    assert float(table["length"]) == pytest.approx(expected, nan_ok=True)

@@ -137,3 +137,10 @@ class TestRefine:
         assert np.nanmin(result.lengths) == pytest.approx(3.0 + TWO_PI, abs=1e-9)
         refined = refine_min(result, ORIGIN, circle)
         assert refined.length == pytest.approx(3.0, abs=1e-9)
+
+
+def test_grid_is_arange_times_step():
+    for n in (16, 4097, 200000):
+        result = sweep(ORIGIN, DEGENERATE, PathType.LSL, n=n)
+        expected = np.arange(n) * (TWO_PI / n)
+        assert np.array_equal(result.alphas.view(np.int64), expected.view(np.int64))
