@@ -41,7 +41,6 @@ from .geometry import (
 from .instances import Instance, InstanceFormatError, load_instance, parse_instance, random_instance
 from .paths import (
     CscPath,
-    InnerTangentDiag,
     PathType,
     csc_between,
     lsl_between,
@@ -79,7 +78,6 @@ __all__ = [
     "FrameTransform",
     "GlobalMinimum",
     "InfeasiblePathError",
-    "InnerTangentDiag",
     "Instance",
     "InstanceFormatError",
     "PathScene",

@@ -31,10 +31,12 @@ import numpy as np
 
 from .errors import DegenerateDirectionError
 from .geometry import (
+    ARC_TOP,
     Configuration,
     FrameTransform,
     HALF_PI,
     TWO_PI,
+    arc_angle,
     mirror_transform,
     normalize_angle,
     to_canonical,
@@ -217,23 +219,27 @@ def canonical_instance(
 
 
 def _fold_two_pi(x):
-    """``np.mod(x, 2*pi)`` in place, bit for bit, for x in (-2*pi, 2*pi).
+    """``np.mod(x, 2*pi)``, then the vanished-arc guard, in place, for x in
+    (-2*pi, 2*pi).
 
     This is numpy's own fix-up after ``fmod``: 2*pi is added to negative
-    values, and adding 0.0 everywhere else turns -0.0 into +0.0.  NaN
-    passes through.  An arctan2 result needs nothing more.
+    values, and adding 0.0 everywhere else turns -0.0 into +0.0.  The
+    guard, as in ``arc_angle``, multiplies by ``x < ARC_TOP``: +0.0 from
+    ``ARC_TOP`` up, NaN kept.  An arctan2 result needs nothing more.
     """
     x += (x < 0.0) * TWO_PI
+    x *= x < ARC_TOP
     return x
 
 
 def _mod_two_pi(x):
-    """``np.mod(x, 2*pi)`` in place, bit for bit, for any x.
+    """``np.mod(x, 2*pi)``, then the vanished-arc guard, in place, for any x.
 
-    ``fmod`` is exact, so only the sign fix-up remains.  The reduction is
-    never ``x - 2*pi*floor(x/(2*pi))``: that rounds, and a rounded reduction
-    could put a sample that lies exactly on a wrap on the other branch
-    and move a length jump (RSR-ccw (10, 1) in CHANGES.md).
+    ``fmod`` is exact, so only the fix-up and the guard remain.  The
+    reduction is never ``x - 2*pi*floor(x/(2*pi))``: that rounds, and a
+    rounded reduction could put a sample that lies exactly on a wrap on
+    the other branch and move a length jump (RSR-ccw (10, 1) in
+    CHANGES.md).
     """
     np.fmod(x, TWO_PI, out=x)
     return _fold_two_pi(x)
@@ -373,8 +379,8 @@ def _lsl_terms_scalar(ci: CanonicalInstance, a: float):
         theta = a + HALF_PI
         dx, dy = c, d - r
     ls = math.hypot(dx, dy)
-    phi1 = math.atan2(dy, dx) % TWO_PI
-    phi2 = (theta - phi1) % TWO_PI
+    phi1 = arc_angle(math.atan2(dy, dx))
+    phi2 = arc_angle(theta - phi1)
     return ls + r * (phi1 + phi2), phi1, phi2, ls, True
 
 
@@ -393,8 +399,8 @@ def _rsl_terms_scalar(ci: CanonicalInstance, a: float):
     ls = math.sqrt(max(lcc * lcc - 4.0 * r * r, 0.0))
     psi1 = math.atan2(wy, wx)
     psi2 = math.atan2(2.0 * r, ls)
-    phi1 = (-psi1 + psi2 + HALF_PI) % TWO_PI
-    phi2 = (theta + phi1 - HALF_PI) % TWO_PI
+    phi1 = arc_angle(-psi1 + psi2 + HALF_PI)
+    phi2 = arc_angle(theta + phi1 - HALF_PI)
     return ls + r * (phi1 + phi2), phi1, phi2, ls, True
 
 

@@ -18,10 +18,14 @@ HALF_PI = 0.5 * math.pi
 # low part of 2*pi dropped by the double representation; re-adding k times
 # this after fmod keeps sin/cos of the reduced angle faithful for large k
 _TWO_PI_LO = 2.4492935982947064e-16
+# the vanished-arc rule: a reduced angle from the double below 2*pi up is an
+# empty arc that rounded up, and reads +0.0.  One ulp wide, since a band w
+# reads phi1 as 0 within sqrt(w/k) of a touch point where phi1 ~ -k*da**2
+ARC_TOP = math.nextafter(TWO_PI, 0.0)
 
 
 def normalize_angle(a: float) -> float:
-    """Reduce an angle to [0, 2*pi).
+    """Reduce an angle to [0, 2*pi), reading ``ARC_TOP`` and up as +0.0.
 
     Uses a two-term reduction so sine and cosine of the result match the
     input to ~1e-12 even for angles of magnitude ~1e12.  Raises
@@ -34,8 +38,16 @@ def normalize_angle(a: float) -> float:
     if k != 0:
         b -= k * _TWO_PI_LO
         b %= TWO_PI
-    # a tiny negative angle can round up to exactly 2*pi
-    return b if b < TWO_PI else 0.0
+    # a tiny negative angle can round up to 2*pi or just below it
+    return 0.0 if b >= ARC_TOP else b
+
+
+def arc_angle(a: float) -> float:
+    """Arc angle ``a % (2*pi)`` under the vanished-arc rule: +0.0 from
+    ``ARC_TOP`` up, so an arc that is empty in the geometry reads 0 in
+    every route.  NaN passes through."""
+    b = a % TWO_PI
+    return 0.0 if b >= ARC_TOP else b
 
 
 def wrap_to_pi(a: float) -> float:

@@ -5,7 +5,9 @@ whether or not that type is the global optimum; picking the best arrival
 point on a target circle is the solver's job.
 
 Angle conventions: the first-arc angle phi1 and second-arc angle phi2 are
-in [0, 2*pi); an L arc turns counter-clockwise, an R arc clockwise.  The
+in [0, 2*pi), and ``normalize_angle`` reads an arc that rounds up to the
+band below 2*pi as 0, as the closed-form kernels do (the vanished-arc
+rule).  An L arc turns counter-clockwise, an R arc clockwise.  The
 straight length is ``ls`` and the total is ``ls + r * (phi1 + phi2)``.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InfeasiblePathError
 from .geometry import (
@@ -57,21 +58,6 @@ class PathType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class InnerTangentDiag:
-    """Inner-tangent construction quantities for RSL/LSR paths.
-
-    ``lcc`` is the distance between the two turn-circle centers; ``psi1``
-    is the angle of the center-to-center vector and ``psi2`` the tangent
-    construction angle atan2(2r, ls), both in the canonical frame of the
-    construction (start at the origin heading pi/2, L and R as mirrored).
-    """
-
-    lcc: float
-    psi1: float
-    psi2: float
-
-
-@dataclass(frozen=True)
 class CscPath:
     """One CSC path: first arc, straight segment, second arc."""
 
@@ -85,7 +71,6 @@ class CscPath:
     total_length: float
     straight_start: tuple[float, float]
     straight_end: tuple[float, float]
-    rsl_diag: Optional[InnerTangentDiag] = None
 
 
 def turn_center(config: Configuration, turn: str, r: float) -> tuple[float, float]:
@@ -122,7 +107,6 @@ def _assemble(
     phi1: float,
     ls: float,
     phi2: float,
-    diag: Optional[InnerTangentDiag] = None,
 ) -> CscPath:
     p1 = arc_end(start, path_type.first_turn, phi1, r)
     p2 = straight_end(p1, ls)
@@ -137,7 +121,6 @@ def _assemble(
         total_length=ls + r * (phi1 + phi2),
         straight_start=(p1.x, p1.y),
         straight_end=(p2.x, p2.y),
-        rsl_diag=diag,
     )
 
 
@@ -195,8 +178,7 @@ def rsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
     psi2 = atan2_ratio(2.0 * r, ls)  # ls = 0 gives the tangency limit pi/2
     phi1 = normalize_angle(-psi1 + psi2 + HALF_PI)
     phi2 = normalize_angle(theta + phi1 - HALF_PI)
-    diag = InnerTangentDiag(lcc=lcc, psi1=psi1, psi2=psi2)
-    return _assemble(PathType.RSL, start, goal, r, phi1, ls, phi2, diag)
+    return _assemble(PathType.RSL, start, goal, r, phi1, ls, phi2)
 
 
 def _mirror_construct(
@@ -209,9 +191,7 @@ def _mirror_construct(
     }[base](start, tm.apply_config(goal), r)
     # arc angles and lengths are reflection-invariant; reassemble in the
     # original frame with the turn handedness swapped back
-    return _assemble(
-        target, start, goal, r, mirrored.phi1, mirrored.ls, mirrored.phi2, mirrored.rsl_diag
-    )
+    return _assemble(target, start, goal, r, mirrored.phi1, mirrored.ls, mirrored.phi2)
 
 
 def rsr_between(start: Configuration, goal: Configuration, r: float) -> CscPath:

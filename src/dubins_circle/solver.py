@@ -338,7 +338,9 @@ def _global_minimum(
     """Build the winning path at canonical alpha a + side; report alpha a."""
     path = length_at_alpha(start, circle, path_type, ci.to_world_alpha(a + side)).path
     if kind == KIND_DEGENERATE and path.phi2 > math.pi:
-        # rounding pushed the vanished final arc onto the 2*pi branch
+        # rounding pushed the vanished final arc onto the 2*pi branch, past
+        # the one-ulp vanished-arc band: on 400 random_instance draws (seed
+        # 5) by up to 2 ulps, translated by 1e3*r up to 14, by 1e6*r ~1e4
         path = dataclasses.replace(path, phi2=0.0, total_length=path.ls + path.r * path.phi1)
     return GlobalMinimum(
         alpha=ci.to_world_alpha(a),

@@ -80,7 +80,8 @@ def refine_min(result: SweepResult, start: Configuration, circle: TargetCircle) 
     least finite value and shrinks the bracket to one sub-cell.  The old
     best is kept when no sample beats it, since rounding can put a
     re-sampled centre across a jump.  Jumps, kinks and feasibility
-    boundaries need no special case.
+    boundaries need no special case.  Both kernels read an empty arc as 0
+    (the vanished-arc rule), so the grid and the refinement agree on it.
     """
     if not bool(result.feasible.any()):
         raise InfeasiblePathError("every sweep sample is infeasible")

@@ -154,6 +154,42 @@ class TestClosedFormAgreement:
                 length, _ = length_at_alpha(start, circle, ptype, a)
                 assert cf == pytest.approx(length, abs=1e-9 * max(1.0, length))
 
+    @pytest.mark.parametrize(
+        "direction, center",
+        [
+            pytest.param(
+                "cw", (0.5, -1.0), id="cw(0.5,-1)",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="csc_between's phi1 lands 2 ulps below 2*pi, outside the "
+                    "one-ulp band (FOUND line on RSR-cw (0.5, -1) in CHANGES.md)",
+                ),
+            ),
+            pytest.param("cw", (0.75, -1.0), id="cw(0.75,-1)"),
+            pytest.param("cw", (1.0, -1.0), id="cw(1,-1)"),
+            pytest.param("cw", (2.5, -1.0), id="cw(2.5,-1)"),
+            pytest.param("ccw", (0.75, 1.0), id="ccw(0.75,1)"),
+            pytest.param("ccw", (2.5, 1.0), id="ccw(2.5,1)"),
+        ],
+    )
+    def test_empty_first_arc_reads_zero_in_every_route(self, direction, center):
+        # the start ray is tangent to a co-rotational type's turn circles, so
+        # its first arc is empty; the kernels and the constructors must all
+        # read it as 0, not put it on the 2*pi branch
+        circle = TargetCircle(center, 1.0, direction)
+        alphas = np.random.default_rng(0).uniform(0.0, TWO_PI, 200)
+        for ptype in PathType:
+            table = closed_form_table(ORIGIN, circle, ptype, alphas)["length"]
+            for a, from_table in zip(alphas.tolist(), table):
+                cf = closed_form_length(ORIGIN, circle, ptype, a)
+                if math.isnan(cf):
+                    assert math.isnan(from_table)
+                    continue
+                assert from_table == pytest.approx(cf, abs=1e-12)
+                assert length_at_alpha(ORIGIN, circle, ptype, a).length == pytest.approx(
+                    cf, abs=1e-12
+                )
+
     def test_table_matches_scalar(self):
         rng = random.Random(107)
         inst = random_instance(rng)
@@ -231,7 +267,16 @@ class TestPerpendicularDistance:
 
 
 # The vector kernels as plain np.mod formulas: the reference that the
-# in-place kernels must reproduce bit for bit.
+# in-place kernels must reproduce bit for bit.  Each reduction is np.mod
+# followed by the vanished-arc guard: a result at or above the double just
+# below 2*pi reads +0.0.  Of the 41,066,200 float outputs that
+# TestKernelBitIdentity compares, the guard changes 40 (15 length, 15 phi1,
+# 10 phi2), all on the partly infeasible near RSL at multiples of pi/2.
+
+
+def _np_mod_arc(x):
+    y = np.mod(x, TWO_PI)
+    return np.where(y >= np.nextafter(TWO_PI, 0.0), 0.0, y)
 
 
 def _reference_lsl_terms(ci, alpha):
@@ -246,8 +291,8 @@ def _reference_lsl_terms(ci, alpha):
         dx = np.broadcast_to(np.float64(c), alpha.shape)
         dy = np.broadcast_to(np.float64(d - r), alpha.shape)
     ls = np.hypot(dx, dy)
-    phi1 = np.mod(np.arctan2(dy, dx), TWO_PI)
-    phi2 = np.mod(theta - phi1, TWO_PI)
+    phi1 = _np_mod_arc(np.arctan2(dy, dx))
+    phi2 = _np_mod_arc(theta - phi1)
     length = ls + r * (phi1 + phi2)
     return length, phi1, phi2, ls, np.ones(alpha.shape, dtype=bool)
 
@@ -268,8 +313,8 @@ def _reference_rsl_terms(ci, alpha):
     ls = np.sqrt(np.clip(lcc * lcc - 4.0 * r * r, 0.0, None))
     psi1 = np.arctan2(wy, wx)
     psi2 = np.arctan2(2.0 * r, ls)
-    phi1 = np.mod(-psi1 + psi2 + HALF_PI, TWO_PI)
-    phi2 = np.mod(theta + phi1 - HALF_PI, TWO_PI)
+    phi1 = _np_mod_arc(-psi1 + psi2 + HALF_PI)
+    phi2 = _np_mod_arc(theta + phi1 - HALF_PI)
     length = ls + r * (phi1 + phi2)
     nan = np.where(feasible, 0.0, np.nan)
     return length + nan, phi1 + nan, phi2 + nan, ls + nan, feasible
@@ -368,12 +413,12 @@ class TestKernelBitIdentity:
                     result = sweep(start, circle, ptype, n=20011)
                     grid = np.arange(20011) * (TWO_PI / 20011)
                     _assert_bytes_equal(result.alphas, grid)
-                    want = reference(ci, ci.to_canonical_alpha(np.mod(grid, TWO_PI)))
+                    want = reference(ci, ci.to_canonical_alpha(_np_mod_arc(grid)))
                     got = (result.lengths, result.phi1, result.phi2, result.ls, result.feasible)
                     for g, w in zip(got, want):
                         _assert_bytes_equal(g, w)
                     table = closed_form_table(start, circle, ptype, world)
-                    want = reference(ci, ci.to_canonical_alpha(np.mod(world, TWO_PI)))
+                    want = reference(ci, ci.to_canonical_alpha(_np_mod_arc(world)))
                     for key, w in zip(("length", "phi1", "phi2", "ls", "feasible"), want):
                         _assert_bytes_equal(table[key], w)
 
@@ -382,13 +427,17 @@ class TestKernelBitIdentity:
             [-0.0, 0.0, -5e-324, 5e-324, np.nextafter(TWO_PI, 0.0), TWO_PI, -TWO_PI, 1e6, -1e6,
              math.pi, -math.pi, np.nan]
         )
-        _assert_bytes_equal(_mod_two_pi(tricky.copy()), np.mod(tricky, TWO_PI))
+        reduced = _mod_two_pi(tricky.copy())
+        _assert_bytes_equal(reduced, _np_mod_arc(tricky))
+        # -5e-324 rounds up to 2*pi under np.mod, and the double below 2*pi
+        # is in the band: both read +0.0
+        _assert_bytes_equal(reduced[[2, 4]], np.zeros(2))
         # the fold alone covers arctan2's range [-pi, pi] and anything in (-2pi, 2pi)
         folded = tricky[~(np.abs(tricky) >= TWO_PI)]  # keeps the NaN
         assert folded.size == 8
-        _assert_bytes_equal(_fold_two_pi(folded.copy()), np.mod(folded, TWO_PI))
+        _assert_bytes_equal(_fold_two_pi(folded.copy()), _np_mod_arc(folded))
         atan = np.arctan2(*np.random.default_rng(9).uniform(-1.0, 1.0, (2, 1000)))
-        _assert_bytes_equal(_fold_two_pi(atan.copy()), np.mod(atan, TWO_PI))
+        _assert_bytes_equal(_fold_two_pi(atan.copy()), _np_mod_arc(atan))
 
 
 class TestVectorContract:

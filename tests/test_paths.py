@@ -86,9 +86,6 @@ class TestLsl:
 class TestRsl:
     def test_straight_line_degenerate(self):
         p = rsl_between(Configuration(0, 0, math.pi / 2), Configuration(0, 5, math.pi / 2), 1.0)
-        assert p.rsl_diag is not None
-        assert p.rsl_diag.psi1 == pytest.approx(math.atan2(5, -2))
-        assert p.rsl_diag.psi2 == pytest.approx(math.atan2(2, 5))
         assert p.phi1 == pytest.approx(0.0, abs=1e-12)
         assert p.phi2 == pytest.approx(0.0, abs=1e-12)
         assert p.ls == pytest.approx(5.0)
@@ -111,7 +108,7 @@ class TestRsl:
         # centers exactly 2r apart: C1 = (1, 0), C2 = (3, 0)
         p = rsl_between(Configuration(0, 0, math.pi / 2), Configuration(2, 0, 3 * math.pi / 2), 1.0)
         assert p.ls == pytest.approx(0.0, abs=1e-9)
-        assert p.rsl_diag.lcc == pytest.approx(2.0)
+        assert math.dist(p.c1_center, p.c2_center) == pytest.approx(2.0)
 
     def test_eq8_identity(self):
         rng = random.Random(5)
@@ -122,7 +119,7 @@ class TestRsl:
                 p = rsl_between(start, goal, r)
             except InfeasiblePathError:
                 continue
-            assert p.ls**2 + 4 * r**2 == pytest.approx(p.rsl_diag.lcc**2, rel=1e-9)
+            assert p.ls**2 + 4 * r**2 == pytest.approx(math.dist(p.c1_center, p.c2_center) ** 2, rel=1e-9)
 
 
 class TestMirroredTypes:

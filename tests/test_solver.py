@@ -21,6 +21,7 @@ from dubins_circle import (
     length_at_alpha,
     mirror_problem,
     perpendicular_distance_to_center,
+    rotational_relation,
     shortest_for_type,
     shortest_to_circle,
     wrap_to_pi,
@@ -57,6 +58,27 @@ class TestDegenerateInstance:
         assert discs[0].alpha == pytest.approx(3 * math.pi / 2, abs=1e-9)
         assert discs[0].cause == "phi2-wrap"
         assert abs(discs[0].jump) == pytest.approx(TWO_PI, abs=1e-6)
+
+    def test_vanished_final_arc_is_zero_far_from_origin(self):
+        # translated by 1e3*r or 1e6*r, the constructor's phi2 at the
+        # degenerate CS lands up to ~1e4 ulps below 2*pi, beyond the
+        # one-ulp vanished-arc band; _global_minimum's pin must catch it
+        rng = random.Random(5)
+        for _ in range(100):
+            inst = random_instance(rng)
+            r = inst.circle.radius
+            for shift in (1e3 * r, 1e6 * r):
+                s = inst.start
+                start = Configuration(s.x + shift, s.y + shift, s.theta)
+                cx, cy = inst.circle.center
+                circle = TargetCircle((cx + shift, cy + shift), r, inst.circle.direction)
+                for ptype in PathType:
+                    relation = rotational_relation(ptype, circle.direction)
+                    if relation is not RotationalRelation.CO_ROTATIONAL:
+                        continue
+                    g = shortest_for_type(start, circle, ptype).global_min
+                    assert g.phi2 < 1e-9
+                    assert g.length == pytest.approx(g.path.ls + r * g.path.phi1, abs=1e-9 * r)
 
 
 class TestCounterRotationalInstance:
@@ -426,7 +448,8 @@ class TestNearStartMinima:
                         continue
                     if report.global_min.kind == "feasibility-boundary":
                         boundary_winners += 1
-                        lcc = report.global_min.path.rsl_diag.lcc
+                        path = report.global_min.path
+                        lcc = math.dist(path.c1_center, path.c2_center)
                         assert lcc == pytest.approx(2.0, abs=1e-6)
                         # one-sided: the sweep must reach the boundary
                         # minimum; a wrap beside the boundary can leave the

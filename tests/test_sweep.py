@@ -14,6 +14,8 @@ from dubins_circle import (
     TargetCircle,
     closed_form_length,
     length_at_alpha,
+    shortest_for_type,
+    wrap_to_pi,
 )
 from dubins_circle.instances import random_instance
 from dubins_circle.sweep import refine_min, sweep
@@ -129,14 +131,41 @@ class TestRefine:
         ]
         assert refined.length == pytest.approx(min(sides), abs=1e-8)
 
-    def test_refines_on_the_scalar_kernel(self):
+    def test_vanished_arc_reads_zero_on_grid_and_refinement(self):
         # LSR-cw (3, -1): the straight path of length 3 with phi1 = phi2 = 0;
-        # the vector kernel puts phi1 on the 2*pi branch at the best sample
+        # the vector kernel on the grid and the scalar kernel in the
+        # refinement both read the empty first arc as 0
         circle = TargetCircle((3, -1), 1.0, RotationDirection.CW)
         result = sweep(ORIGIN, circle, PathType.LSR, n=4096)
-        assert np.nanmin(result.lengths) == pytest.approx(3.0 + TWO_PI, abs=1e-9)
+        assert np.nanmin(result.lengths) == pytest.approx(3.0, abs=1e-12)
         refined = refine_min(result, ORIGIN, circle)
-        assert refined.length == pytest.approx(3.0, abs=1e-9)
+        assert refined.length == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "ptype, center, direction",
+        [
+            (PathType.LSR, (0.75, -1.0), "cw"),
+            (PathType.LSR, (2.5, -1.0), "cw"),
+            (PathType.RSL, (0.75, 1.0), "ccw"),
+            (PathType.RSL, (2.5, 1.0), "ccw"),
+        ],
+    )
+    def test_empty_first_arc_matches_solver(self, ptype, center, direction):
+        # co-rotational types whose first arc is empty at every alpha: a
+        # 2*pi branch there would put the whole sweep 2*pi*r high
+        circle = TargetCircle(center, 1.0, direction)
+        refined = refine_min(sweep(ORIGIN, circle, ptype, n=4096), ORIGIN, circle)
+        solved = shortest_for_type(ORIGIN, circle, ptype).global_min
+        assert refined.length == pytest.approx(solved.length, abs=1e-9)
+        assert abs(wrap_to_pi(refined.alpha - solved.alpha)) <= 1e-6
+
+    @pytest.mark.parametrize("x", [0.5, 3.0, 10.0])
+    def test_touch_point_minimum(self, x):
+        # RSL-cw (x, 3): phi1 touches 0 at one alpha only, where the path is
+        # straight along the start ray for x, then a half turn
+        circle = TargetCircle((x, 3.0), 1.0, RotationDirection.CW)
+        refined = refine_min(sweep(ORIGIN, circle, PathType.RSL, n=4096), ORIGIN, circle)
+        assert refined.length == pytest.approx(x + math.pi, abs=1e-6)
 
 
 def test_grid_is_arange_times_step():
