@@ -18,6 +18,7 @@ import numpy as np
 from .circle_target import (
     RotationalRelation,
     closed_form_length,
+    final_config_at_alpha,
     length_at_alpha,
     perpendicular_distance_to_center,
     rotational_relation,
@@ -86,8 +87,7 @@ def _write_solution_svg(instance: Instance, path, alpha: float, label: str, out)
     r = instance.circle.radius
     sample = sample_path(path, instance.start, r / 32.0)
     cx, cy = instance.circle.center
-    gx = cx + r * math.cos(alpha)
-    gy = cy + r * math.sin(alpha)
+    arrival = final_config_at_alpha(instance.circle, alpha)
     scene = PathScene(
         paths=((label, sample),),
         circles=(
@@ -96,7 +96,7 @@ def _write_solution_svg(instance: Instance, path, alpha: float, label: str, out)
             (*path.c2_center, r),
         ),
         start=instance.start,
-        markers=((gx, gy, "arrival"),),
+        markers=((arrival.x, arrival.y, "arrival"),),
     )
     render_svg(scene, out)
 

@@ -99,7 +99,7 @@ def straight_end(config: Configuration, s: float) -> Configuration:
     )
 
 
-def _assemble(
+def assemble(
     path_type: PathType,
     start: Configuration,
     goal: Configuration,
@@ -151,7 +151,7 @@ def lsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
     else:
         phi1 = normalize_angle(atan2_ratio(dy, dx))
         phi2 = normalize_angle(theta - phi1)
-    return _assemble(PathType.LSL, start, goal, r, phi1, ls, phi2)
+    return assemble(PathType.LSL, start, goal, r, phi1, ls, phi2)
 
 
 def rsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
@@ -178,7 +178,7 @@ def rsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
     psi2 = atan2_ratio(2.0 * r, ls)  # ls = 0 gives the tangency limit pi/2
     phi1 = normalize_angle(-psi1 + psi2 + HALF_PI)
     phi2 = normalize_angle(theta + phi1 - HALF_PI)
-    return _assemble(PathType.RSL, start, goal, r, phi1, ls, phi2)
+    return assemble(PathType.RSL, start, goal, r, phi1, ls, phi2)
 
 
 def _mirror_construct(
@@ -191,7 +191,7 @@ def _mirror_construct(
     }[base](start, tm.apply_config(goal), r)
     # arc angles and lengths are reflection-invariant; reassemble in the
     # original frame with the turn handedness swapped back
-    return _assemble(target, start, goal, r, mirrored.phi1, mirrored.ls, mirrored.phi2)
+    return assemble(target, start, goal, r, mirrored.phi1, mirrored.ls, mirrored.phi2)
 
 
 def rsr_between(start: Configuration, goal: Configuration, r: float) -> CscPath:

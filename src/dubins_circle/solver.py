@@ -13,8 +13,8 @@ scalar kernel.  The other events are roots of ``p*cos(a) + q*sin(a) = k``:
 the stationary points of the derivative ``r - 2*r*cos(phi2)``, the RSL
 feasibility boundaries and the LSL cusp.  The candidates are (kernel
 length, alpha, side, kind): stationary minima at side 0, and both
-one-sided values at every wrap, boundary and cusp.  Only the least gets
-a path, built at alpha + side; world angles appear only in the report.
+one-sided values at every wrap, boundary and cusp.  The least gets a
+path from its own kernel terms; world angles appear only in the report.
 
 Under the 4r assumption (``assumption_check``) wraps of the first arc
 come in pairs: the first arc wraps where the goal-side turn centre,
@@ -48,14 +48,14 @@ from .circle_target import (
     assumption_check,
     canonical_instance,
     canonical_terms_scalar,
-    length_at_alpha,
+    final_config_at_alpha,
     lsl_terms,
     rotational_relation,
     rsl_terms,
 )
 from .errors import AtDiscontinuityError, InfeasiblePathError
 from .geometry import Configuration, HALF_PI, TWO_PI, normalize_angle, wrap_to_pi
-from .paths import DEGENERATE_CENTER_TOL, CscPath, PathType
+from .paths import DEGENERATE_CENTER_TOL, CscPath, PathType, assemble
 
 SCAN_SAMPLES = 4096
 BISECT_TOL = 1e-12
@@ -335,17 +335,14 @@ def _global_minimum(
     side: float,
     kind: str,
 ) -> GlobalMinimum:
-    """Build the winning path at canonical alpha a + side; report alpha a."""
-    path = length_at_alpha(start, circle, path_type, ci.to_world_alpha(a + side)).path
-    if kind == KIND_DEGENERATE and path.phi2 > math.pi:
-        # rounding pushed the vanished final arc onto the 2*pi branch, past
-        # the one-ulp vanished-arc band: on 400 random_instance draws (seed
-        # 5) by up to 2 ulps, translated by 1e3*r up to 14, by 1e6*r ~1e4
-        path = dataclasses.replace(path, phi2=0.0, total_length=path.ls + path.r * path.phi1)
+    """Assemble the path from its kernel terms at a + side; report alpha a."""
+    _, phi1, phi2, ls, _ = canonical_terms_scalar(ci, a + side)
+    goal = final_config_at_alpha(circle, ci.to_world_alpha(a + side))
+    path = assemble(path_type, start, goal, circle.radius, phi1, ls, phi2)
     return GlobalMinimum(
         alpha=ci.to_world_alpha(a),
         length=path.total_length,
-        phi2=path.phi2,
+        phi2=phi2,
         kind=kind,
         path=path,
     )
@@ -362,7 +359,7 @@ def shortest_for_type(
     the final arc vanishes.  Counter-rotational types take the least of
     their stationary minima and the one-sided values at every wrap,
     feasibility boundary and cusp.  Every candidate is a canonical angle
-    evaluated on the scalar kernel; only the winner gets a path.
+    evaluated on the scalar kernel, whose terms give the winner its path.
     """
     relation = rotational_relation(path_type, circle.direction)
     ci = canonical_instance(start, circle, path_type)

@@ -18,18 +18,21 @@ from dubins_circle import (
     analytic_derivative,
     closed_form_length,
     discontinuities,
+    final_config_at_alpha,
     length_at_alpha,
     mirror_problem,
     perpendicular_distance_to_center,
     rotational_relation,
     shortest_for_type,
     shortest_to_circle,
+    trace_path,
     wrap_to_pi,
 )
 from dubins_circle import solver as solver_mod
 from dubins_circle.circle_target import canonical_terms_scalar, lsl_terms, rsl_terms
 from dubins_circle.instances import random_instance
 from dubins_circle.sweep import refine_min, sweep
+from test_check_grid import _grid_scenes
 
 TWO_PI = 2.0 * math.pi
 PI_3 = math.pi / 3.0
@@ -60,9 +63,9 @@ class TestDegenerateInstance:
         assert abs(discs[0].jump) == pytest.approx(TWO_PI, abs=1e-6)
 
     def test_vanished_final_arc_is_zero_far_from_origin(self):
-        # translated by 1e3*r or 1e6*r, the constructor's phi2 at the
-        # degenerate CS lands up to ~1e4 ulps below 2*pi, beyond the
-        # one-ulp vanished-arc band; _global_minimum's pin must catch it
+        # translated by 1e3*r or 1e6*r, the pose-to-pose constructor puts
+        # phi2 at the degenerate CS up to ~1e4 ulps below 2*pi; the path
+        # assembled from the kernel's terms must still read it as 0
         rng = random.Random(5)
         for _ in range(100):
             inst = random_instance(rng)
@@ -600,3 +603,39 @@ class TestShortestToCircle:
         assert PathType.RSL not in result.per_type
         assert result.length > 0.0
         assert result.assumption_ok is False
+
+
+class TestArrivalPose:
+    """Every type's answer, traced from the start, lands on its arrival pose.
+
+    The solver assembles each winning path from kernel terms, so this is
+    the independent check of the assembled geometry.  The path is built at
+    alpha + side, up to SIDE_PROBE = 1e-9 rad from the reported alpha.
+    """
+
+    @staticmethod
+    def _assert_arrives(start, circle):
+        r = circle.radius
+        for rep in shortest_to_circle(start, circle).per_type.values():
+            g = rep.global_min
+            end = trace_path(g.path, start)
+            goal = final_config_at_alpha(circle, g.alpha)
+            assert math.hypot(end.x - goal.x, end.y - goal.y) <= 1e-8 * r
+            assert abs(wrap_to_pi(end.theta - goal.theta)) <= 1e-8
+            assert g.length == g.path.total_length
+
+    def test_origin_grid(self):
+        for direction, cx, cy in _grid_scenes():
+            self._assert_arrives(ORIGIN, TargetCircle((cx, cy), 1.0, direction))
+
+    def test_random_far_from_origin(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            inst = random_instance(rng)
+            r = inst.circle.radius
+            cx, cy = inst.circle.center
+            for shift in (0.0, 1e3 * r, 1e6 * r):
+                s = inst.start
+                start = Configuration(s.x + shift, s.y + shift, s.theta)
+                circle = TargetCircle((cx + shift, cy + shift), r, inst.circle.direction)
+                self._assert_arrives(start, circle)
