@@ -218,7 +218,7 @@ def canonical_instance(
     )
 
 
-def _fold_two_pi(x):
+def _fold_two_pi(x, scratch=None):
     """``np.mod(x, 2*pi)``, then the vanished-arc guard, in place, for x in
     (-2*pi, 2*pi).
 
@@ -226,124 +226,116 @@ def _fold_two_pi(x):
     values, and adding 0.0 everywhere else turns -0.0 into +0.0.  The
     guard, as in ``arc_angle``, multiplies by ``x < ARC_TOP``: +0.0 from
     ``ARC_TOP`` up, NaN kept.  An arctan2 result needs nothing more.
+    Comparisons go to ``scratch`` (any float array of x's shape, or new
+    arrays) as 1.0 and 0.0, which multiply like True and False.
     """
-    x += (x < 0.0) * TWO_PI
-    x *= x < ARC_TOP
+    x += np.multiply(np.less(x, 0.0, out=scratch), TWO_PI, out=scratch)
+    x *= np.less(x, ARC_TOP, out=scratch)
     return x
 
 
-def _mod_two_pi(x):
+def _mod_two_pi(x, scratch=None):
     """``np.mod(x, 2*pi)``, then the vanished-arc guard, in place, for any x.
 
     ``fmod`` is exact, so only the fix-up and the guard remain.  The
     reduction is never ``x - 2*pi*floor(x/(2*pi))``: that rounds, and a
     rounded reduction could put a sample that lies exactly on a wrap on
     the other branch and move a length jump (RSR-ccw (10, 1) in
-    CHANGES.md).
+    CHANGES.md).  ``scratch`` is as in ``_fold_two_pi``.
     """
     np.fmod(x, TWO_PI, out=x)
-    return _fold_two_pi(x)
+    return _fold_two_pi(x, scratch)
 
 
-def _turn_center_offset(alpha, r: float, x0: float, y0: float):
-    """(x0 + 2r cos(alpha), y0 + 2r sin(alpha)) as two new arrays."""
-    x = np.cos(alpha, out=np.empty(alpha.shape))
-    x *= 2.0 * r
-    x += x0
-    y = np.sin(alpha, out=np.empty(alpha.shape))
-    y *= 2.0 * r
-    y += y0
-    return x, y
+def _terms_into(lsl: bool, ci: CanonicalInstance, length, phi1, phi2, ls, feasible):
+    """The LSL (``lsl``) or RSL family kernel, computed inside its outputs.
 
-
-def _theta(ci: CanonicalInstance, alpha):
-    """Arrival heading alpha - pi/2 (cw) or alpha + pi/2 (ccw), a new array."""
-    return np.add(alpha, -HALF_PI if ci.cw else HALF_PI, out=np.empty(alpha.shape))
-
-
-def _length(r: float, ls, phi1, phi2):
-    """ls + r*(phi1 + phi2), a new array."""
-    length = np.add(phi1, phi2, out=np.empty(phi2.shape))
+    phi2 holds the canonical angle a on entry; each intermediate lives in
+    an output not yet final, in the order of the plain formulas, so every
+    output is bit-identical to them with np.mod and the vanished-arc guard.
+    The center-to-center vector is (c + 2r cos a, d + 2r sin a - r) for
+    LSL and (c + 2r cos a - r, d + 2r sin a) for RSL; ccw drops the 2r
+    terms, and ls, phi1 and feasibility come from 1-element arrays.
+    """
+    c, d, r = ci.c, ci.d, ci.r
+    if ci.cw:
+        x, y, ls1, feasible1 = np.cos(phi2, out=phi1), np.sin(phi2, out=length), ls, feasible
+        x *= 2.0 * r
+        y *= 2.0 * r
+        x += c
+        y += d
+    else:
+        x, y, ls1, feasible1 = np.array([c]), np.array([d]), np.empty(1), np.empty(1, dtype=bool)
+    shifted = y if lsl else x
+    shifted -= r
+    np.hypot(x, y, out=ls1)
+    if lsl:
+        _fold_two_pi(np.arctan2(y, x, out=x), y)
+        feasible1.fill(True)
+    else:
+        np.greater_equal(ls1, 2.0 * r * (1.0 - INNER_TANGENT_REL_TOL), out=feasible1)
+        ls1 *= ls1
+        ls1 -= 4.0 * r * r
+        np.sqrt(np.clip(ls1, 0.0, None, out=ls1), out=ls1)
+        # phi1 = (-psi1 + psi2 + pi/2) mod 2*pi with psi1 = arctan2(y, x)
+        # and psi2 = arctan2(2r, ls); -psi1 + psi2 is psi2 - psi1 exactly
+        np.arctan2(y, x, out=x)
+        np.subtract(np.arctan2(2.0 * r, ls1, out=y), x, out=x)
+        x += HALF_PI
+        _mod_two_pi(x, y)
+    if not ci.cw:
+        ls.fill(ls1[0])
+        phi1.fill(x[0])
+        feasible.fill(feasible1[0])
+    phi2 += -HALF_PI if ci.cw else HALF_PI
+    if lsl:
+        phi2 -= phi1
+    else:
+        phi2 += phi1
+        phi2 -= HALF_PI
+    _mod_two_pi(phi2, length)
+    np.add(phi1, phi2, out=length)
     length *= r
     length += ls
-    return length
+    if not feasible.all():
+        # the bytes of adding np.where(feasible, 0.0, np.nan): no feasible
+        # sample holds -0.0, and x + NaN keeps a NaN x as it is
+        infeasible = ~feasible
+        for v in (length, phi1, phi2, ls):
+            np.add(v, np.nan, out=v, where=infeasible)
+
+
+def _outputs(alpha):
+    """Fresh (length, phi1, phi2, ls, feasible) of alpha's shape, with a
+    float copy of alpha in phi2."""
+    length, phi1, phi2, ls = (np.empty(np.shape(alpha)) for _ in range(4))
+    np.copyto(phi2, alpha)
+    return length, phi1, phi2, ls, np.empty(phi2.shape, dtype=bool)
 
 
 def lsl_terms(ci: CanonicalInstance, alpha):
     """Vectorized canonical LSL terms: (length, phi1, phi2, ls, feasible).
 
-    ``alpha`` is a canonical-frame angle (scalar or ndarray); every output
-    is a new writable C-contiguous array of its shape.  For the clockwise
-    tangent the center-to-center vector is
-    (c + 2r cos a, d + 2r sin a - r); for counter-clockwise it collapses
-    to the constant (c, d - r), the goal-side circle coincides with the
-    target, and ls and phi1 are evaluated once, on 1-element arrays.
-
-    The arithmetic runs in place but in the order of the plain formulas,
-    so every output is bit-identical to evaluating them with ``np.mod``:
-    the arc angles are reduced by ``fmod`` plus numpy's sign fix-up
-    (``_mod_two_pi``), never by ``floor``.
+    ``alpha`` is a canonical-frame angle (scalar or ndarray) and is never
+    written.  Every output is a new writable C-contiguous array of its
+    shape, and the kernel computes inside those five arrays: it
+    allocates nothing else of alpha's size.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    c, d, r = ci.c, ci.d, ci.r
-    if ci.cw:
-        dx, dy = _turn_center_offset(alpha, r, c, d)
-        dy -= r
-    else:
-        dx, dy = np.array([c]), np.array([d - r])
-    ls = np.hypot(dx, dy, out=np.empty_like(dx))
-    phi1 = _fold_two_pi(np.arctan2(dy, dx, out=dx))
-    if not ci.cw:
-        ls, phi1 = np.full(alpha.shape, ls[0]), np.full(alpha.shape, phi1[0])
-    phi2 = _theta(ci, alpha)
-    phi2 -= phi1
-    _mod_two_pi(phi2)
-    return _length(r, ls, phi1, phi2), phi1, phi2, ls, np.ones(alpha.shape, dtype=bool)
+    out = _outputs(alpha)
+    _terms_into(True, ci, *out)
+    return out
 
 
 def rsl_terms(ci: CanonicalInstance, alpha):
     """Vectorized canonical RSL terms: (length, phi1, phi2, ls, feasible).
 
     Infeasible samples (turn-circle centers closer than 2r) carry NaN in
-    every numeric output and False in the feasibility mask.  Outputs,
-    the once-only co-rotational constants and the bit-identical
-    ``fmod`` reduction are as in ``lsl_terms``.
+    every numeric output and False in the feasibility mask.  Otherwise as
+    ``lsl_terms``, but a partly infeasible call also allocates that mask.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    c, d, r = ci.c, ci.d, ci.r
-    if ci.cw:
-        wx, wy = _turn_center_offset(alpha, r, c, d)
-        wx -= r
-    else:
-        wx, wy = np.array([c - r]), np.array([d])
-    lcc = np.hypot(wx, wy, out=np.empty_like(wx))
-    feasible = np.greater_equal(
-        lcc, 2.0 * r * (1.0 - INNER_TANGENT_REL_TOL), out=np.empty(lcc.shape, dtype=bool)
-    )
-    ls = np.multiply(lcc, lcc, out=lcc)
-    ls -= 4.0 * r * r
-    np.sqrt(np.clip(ls, 0.0, None, out=ls), out=ls)
-    # phi1 = (-psi1 + psi2 + pi/2) mod 2*pi with psi1 = arctan2(wy, wx)
-    # and psi2 = arctan2(2r, ls); -psi1 + psi2 is psi2 - psi1 exactly
-    phi1 = np.arctan2(2.0 * r, ls, out=np.empty_like(ls))
-    phi1 -= np.arctan2(wy, wx, out=wx)
-    phi1 += HALF_PI
-    _mod_two_pi(phi1)
-    if not ci.cw:
-        ls, phi1 = np.full(alpha.shape, ls[0]), np.full(alpha.shape, phi1[0])
-        feasible = np.full(alpha.shape, feasible[0])
-    phi2 = _theta(ci, alpha)
-    phi2 += phi1
-    phi2 -= HALF_PI
-    _mod_two_pi(phi2)
-    terms = (_length(r, ls, phi1, phi2), phi1, phi2, ls)
-    if not feasible.all():
-        # adding +0.0 where feasible changes nothing (no output holds
-        # -0.0 there), so an all-feasible call skips the mask
-        nan = np.where(feasible, 0.0, np.nan)
-        for x in terms:
-            x += nan
-    return (*terms, feasible)
+    out = _outputs(alpha)
+    _terms_into(False, ci, *out)
+    return out
 
 
 def closed_form_table(start: Configuration, circle: TargetCircle, path_type: PathType, alphas):
@@ -355,14 +347,16 @@ def closed_form_table(start: Configuration, circle: TargetCircle, path_type: Pat
     constructors.  ``alphas`` is reduced to [0, 2*pi) first, unless no
     angle has its sign bit set (which also catches -0.0) and every angle
     is below 2*pi: there ``np.mod`` would be the identity bit for bit.
+    The kernel runs inside the five fresh outputs, from the canonical
+    angle written to phi2; ``alphas`` is never written.
     """
     ci = canonical_instance(start, circle, path_type)
-    a = np.asarray(alphas, dtype=float)
-    if np.signbit(a).any() or not np.max(a, initial=0.0) < TWO_PI:
-        a = _mod_two_pi(np.array(a))
-    a = ci.to_canonical_alpha(a)
-    terms = lsl_terms(ci, a) if ci.kind is PathType.LSL else rsl_terms(ci, a)
-    length, phi1, phi2, ls, feasible = terms
+    length, phi1, phi2, ls, feasible = _outputs(alphas)
+    if np.signbit(phi2).any() or not np.max(phi2, initial=0.0) < TWO_PI:
+        _mod_two_pi(phi2, length)
+    phi2 *= ci.alpha_sign
+    phi2 += ci.alpha_offset
+    _terms_into(ci.kind is PathType.LSL, ci, length, phi1, phi2, ls, feasible)
     return {"length": length, "phi1": phi1, "phi2": phi2, "ls": ls, "feasible": feasible}
 
 

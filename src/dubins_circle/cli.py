@@ -13,8 +13,6 @@ import random
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .circle_target import (
     RotationalRelation,
     closed_form_length,
@@ -35,7 +33,7 @@ from .solver import (
     shortest_for_type,
     shortest_to_circle,
 )
-from .sweep import refine_min, sweep
+from .sweep import grid_argmin, refine_min, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -167,7 +165,7 @@ def cmd_sweep(args) -> int:
         result = sweep(instance.start, instance.circle, ptype, n=args.n)
         feasible_any = bool(result.feasible.any())
         if feasible_any:
-            k = int(np.nanargmin(result.lengths))
+            k = grid_argmin(result.lengths)
             refined = refine_min(result, instance.start, instance.circle)
             print(
                 f"{ptype.value} grid_min alpha {_f(result.alphas[k])} "

@@ -11,6 +11,7 @@ independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ FLAT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SweepResult:
+    """``alphas`` is the read-only grid every sweep of this ``n`` shares;
+    the other arrays are fresh."""
+
     path_type: PathType
     n: int
     alphas: np.ndarray
@@ -50,6 +54,13 @@ class RefinedMinimum:
     flat: bool  # the grid bracket is flat to 1e-9*r: alpha is ill-determined
 
 
+@functools.lru_cache(maxsize=1)
+def _grid(n: int) -> np.ndarray:
+    alphas = np.arange(n) * (TWO_PI / n)
+    alphas.flags.writeable = False
+    return alphas
+
+
 def sweep(
     start: Configuration, circle: TargetCircle, path_type: PathType, n: int = 4096
 ) -> SweepResult:
@@ -57,19 +68,16 @@ def sweep(
     if n < 16:
         raise ValueError(f"sweep needs n >= 16, got {n}")
     # already in [0, 2*pi), so closed_form_table does not reduce it again
-    alphas = np.arange(n, dtype=float)
-    alphas *= TWO_PI / n
-    table = closed_form_table(start, circle, path_type, alphas)
-    return SweepResult(
-        path_type=path_type,
-        n=n,
-        alphas=alphas,
-        lengths=table["length"],
-        phi1=table["phi1"],
-        phi2=table["phi2"],
-        ls=table["ls"],
-        feasible=table["feasible"],
-    )
+    alphas = _grid(n)
+    t = closed_form_table(start, circle, path_type, alphas)
+    terms = (t["length"], t["phi1"], t["phi2"], t["ls"], t["feasible"])
+    return SweepResult(path_type, n, alphas, *terms)
+
+
+def grid_argmin(values: np.ndarray) -> int:
+    """``np.nanargmin`` of values holding a non-NaN one, without its copy
+    of the array and its NaN mask: the first index of the least value."""
+    return int(np.argmax(values == np.nanmin(values)))
 
 
 def refine_min(result: SweepResult, start: Configuration, circle: TargetCircle) -> RefinedMinimum:
@@ -85,7 +93,7 @@ def refine_min(result: SweepResult, start: Configuration, circle: TargetCircle) 
     """
     if not bool(result.feasible.any()):
         raise InfeasiblePathError("every sweep sample is infeasible")
-    k = int(np.nanargmin(result.lengths))
+    k = grid_argmin(result.lengths)
     ci = canonical_instance(start, circle, result.path_type)
 
     def f(a: float) -> float:

@@ -438,6 +438,14 @@ class TestKernelBitIdentity:
         _assert_bytes_equal(_fold_two_pi(folded.copy()), _np_mod_arc(folded))
         atan = np.arctan2(*np.random.default_rng(9).uniform(-1.0, 1.0, (2, 1000)))
         _assert_bytes_equal(_fold_two_pi(atan.copy()), _np_mod_arc(atan))
+        # caller scratch holding NaN and other garbage gives the same bytes
+        # as the one-argument form, and the input is the only array written
+        for helper, x in ((_mod_two_pi, tricky), (_fold_two_pi, folded), (_fold_two_pi, atan)):
+            garbage = np.resize([np.nan, -0.0, np.inf, -7.5, 1.0, TWO_PI], x.shape)
+            for scratch in (np.full(x.shape, np.nan), garbage):
+                out = x.copy()
+                assert helper(out, scratch) is out
+                _assert_bytes_equal(out, helper(x.copy()))
 
 
 class TestVectorContract:

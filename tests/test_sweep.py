@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dubins_circle import (
     wrap_to_pi,
 )
 from dubins_circle.instances import random_instance
-from dubins_circle.sweep import refine_min, sweep
+from dubins_circle.sweep import grid_argmin, refine_min, sweep
 
 TWO_PI = 2.0 * math.pi
 ORIGIN = Configuration(0, 0, 0)
@@ -173,3 +174,60 @@ def test_grid_is_arange_times_step():
         result = sweep(ORIGIN, DEGENERATE, PathType.LSL, n=n)
         expected = np.arange(n) * (TWO_PI / n)
         assert np.array_equal(result.alphas.view(np.int64), expected.view(np.int64))
+
+
+def test_grid_is_shared_and_read_only():
+    a = sweep(ORIGIN, DEGENERATE, PathType.LSL, n=256)
+    b = sweep(ORIGIN, DEGENERATE, PathType.RSL, n=256)
+    assert a.alphas is b.alphas and not a.alphas.flags.writeable
+    with pytest.raises(ValueError):
+        a.alphas[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [np.nan, np.nan, 3.0, 1.0, 2.0],
+        [3.0, np.nan, np.nan, 1.0, np.nan, 2.0],
+        [3.0, 1.0, 2.0, np.nan, np.nan],
+        [np.nan, 2.0, 1.0, np.nan, 1.0, 1.0, np.nan],
+        [1.0, 1.0, 1.0],
+        [np.nan, np.nan, 5.0, np.nan],
+        [7.0],
+    ],
+    ids=["nan-start", "nan-middle", "nan-end", "repeated", "all-equal", "single-finite", "one"],
+)
+def test_grid_argmin_matches_nanargmin(values):
+    values = np.array(values)
+    before = values.copy()
+    assert grid_argmin(values) == np.nanargmin(values)
+    assert np.array_equal(values, before, equal_nan=True)
+
+
+# every type in both directions far away, and the partly infeasible near RSL
+_BUDGET_CASES = [
+    (TargetCircle((10, 5), 1.0, direction), ptype)
+    for direction in RotationDirection
+    for ptype in PathType
+] + [(TargetCircle((1.5, 1.0), 1.0, RotationDirection.CW), PathType.RSL)]
+
+
+@pytest.mark.parametrize(
+    "circle, ptype",
+    _BUDGET_CASES,
+    ids=[f"{p.value}-{c.direction.value}{c.center}" for c, p in _BUDGET_CASES],
+)
+def test_sweep_and_refine_allocate_little_beyond_the_result(circle, ptype):
+    # the returned arrays are 4.125 x 8n bytes (four float, one bool); the
+    # budget leaves room for a bool mask of n bytes, not for a float
+    # temporary of the grid's size
+    n = 100000
+    refine_min(sweep(ORIGIN, circle, ptype, n=n), ORIGIN, circle)  # warm-up
+    tracemalloc.start()
+    try:
+        result = sweep(ORIGIN, circle, ptype, n=n)
+        refine_min(result, ORIGIN, circle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * n
