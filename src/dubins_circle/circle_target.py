@@ -346,13 +346,13 @@ def closed_form_table(start: Configuration, circle: TargetCircle, path_type: Pat
     is the specialized-formula route, independent of the pose-to-pose
     constructors.  ``alphas`` is reduced to [0, 2*pi) first, unless no
     angle has its sign bit set (which also catches -0.0) and every angle
-    is below 2*pi: there ``np.mod`` would be the identity bit for bit.
+    is below ``ARC_TOP``: there the guarded reduction is the exact identity.
     The kernel runs inside the five fresh outputs, from the canonical
     angle written to phi2; ``alphas`` is never written.
     """
     ci = canonical_instance(start, circle, path_type)
     length, phi1, phi2, ls, feasible = _outputs(alphas)
-    if np.signbit(phi2).any() or not np.max(phi2, initial=0.0) < TWO_PI:
+    if np.signbit(phi2).any() or not np.max(phi2, initial=0.0) < ARC_TOP:
         _mod_two_pi(phi2, length)
     phi2 *= ci.alpha_sign
     phi2 += ci.alpha_offset

@@ -11,10 +11,10 @@ image share one computation, and every event is a canonical angle in
 to (-pi, pi], on 4096 samples and bisecting each zero crossing on the
 scalar kernel.  The other events are roots of ``p*cos(a) + q*sin(a) = k``:
 the stationary points of the derivative ``r - 2*r*cos(phi2)``, the RSL
-feasibility boundaries and the LSL cusp.  The candidates are (kernel
-length, alpha, side, kind): stationary minima at side 0, and both
-one-sided values at every wrap, boundary and cusp.  The least gets a
-path from its own kernel terms; world angles appear only in the report.
+feasibility boundaries and the LSL cusp.  Each event is one candidate at
+its exact angle, with the segment it zeros pinned to 0: the lower limit
+of a jump, or a single arc where two degeneracies meet.  The least gets
+its path from its own terms; world angles appear only in the report.
 
 Under the 4r assumption (``assumption_check``) wraps of the first arc
 come in pairs: the first arc wraps where the goal-side turn centre,
@@ -54,14 +54,13 @@ from .circle_target import (
     rsl_terms,
 )
 from .errors import AtDiscontinuityError, InfeasiblePathError
-from .geometry import Configuration, HALF_PI, TWO_PI, normalize_angle, wrap_to_pi
+from .geometry import Configuration, HALF_PI, TWO_PI, arc_angle, normalize_angle, wrap_to_pi
 from .paths import DEGENERATE_CENTER_TOL, CscPath, PathType, assemble
 
 SCAN_SAMPLES = 4096
 BISECT_TOL = 1e-12
 ROOT_MAX_ITER = 200
 JUMP_PROBE = 1e-7
-SIDE_PROBE = 1e-9
 # a closed-form stationary root must reproduce its phi2 this closely
 PHI2_TOL = 1e-6
 TIE_REL_TOL = 1e-9
@@ -73,11 +72,13 @@ NEAR_WRAP_GUARD = 0.05
 
 CAUSE_PHI1 = "phi1-wrap"
 CAUSE_PHI2 = "phi2-wrap"
+CAUSE_CUSP = "cusp"
 
 KIND_STATIONARY = "stationary"
 KIND_DEGENERATE = "degenerate-cs"
 KIND_DISCONTINUITY = "discontinuity"
 KIND_BOUNDARY = "feasibility-boundary"
+KIND_SINGLE_ARC = "single-arc"
 
 _TYPE_ORDER = (PathType.LSL, PathType.RSL, PathType.RSR, PathType.LSR)
 
@@ -290,7 +291,7 @@ def _stationary_points(ci: CanonicalInstance, wraps: list[float]) -> list[tuple[
     delta = -pi/2 - phi2, so tangency n(h).V(a) = s is linear in cos a and
     sin a.  A root counts when the kernel confirms its phi2 and the
     derivative changes sign across it; that sign, not phi2, tells a minimum
-    from a maximum.  Roots on a wrap are left to its one-sided values.
+    from a maximum.  Roots on a wrap are left to its pinned path.
     """
     vx, vy, s = _centre_offset(ci)
     r = ci.r
@@ -313,8 +314,8 @@ def _stationary_points(ci: CanonicalInstance, wraps: list[float]) -> list[tuple[
 
 
 def _feasibility_events(ci: CanonicalInstance) -> list[tuple[float, str]]:
-    """(canonical alpha, kind) of RSL's feasibility boundaries |V(a)| = 2r, or
-    of LSL's cusp V(a) = 0 when |V0| = 2r: a 2*pi*r jump where both arc
+    """(canonical alpha, cause) of RSL's feasibility boundaries |V(a)| = 2r,
+    or of LSL's cusp V(a) = 0 when |V0| = 2r: a 2*pi*r jump where both arc
     angles jump by pi instead of wrapping, so the wrap scan does not report
     it."""
     vx, vy, _ = _centre_offset(ci)
@@ -322,30 +323,41 @@ def _feasibility_events(ci: CanonicalInstance) -> list[tuple[float, str]]:
         roots = _cos_sin_roots(vx, vy, -(vx * vx + vy * vy) / (4.0 * ci.r))
         return [(a, KIND_BOUNDARY) for a in roots]
     if abs(math.hypot(vx, vy) - 2.0 * ci.r) <= DEGENERATE_CENTER_TOL * ci.r:
-        return [(math.atan2(-vy, -vx) % TWO_PI, KIND_DISCONTINUITY)]
+        return [(math.atan2(-vy, -vx) % TWO_PI, CAUSE_CUSP)]
     return []
+
+
+def _pinned_terms(ci: CanonicalInstance, a: float, cause: str):
+    """Kernel terms at event angle a, with the segment ``cause`` zeros pinned to 0."""
+    _, phi1, phi2, ls, feasible = canonical_terms_scalar(ci, a)
+    if cause == CAUSE_PHI1:
+        phi1 = 0.0
+    elif cause == CAUSE_PHI2:
+        phi2 = 0.0
+    elif cause == KIND_BOUNDARY:
+        # ls is rounding noise here; the tangent turns by atan2(ls, 2r) to ls = 0
+        turn = math.atan2(ls, 2.0 * ci.r)
+        phi1, phi2, ls = arc_angle(phi1 + turn), arc_angle(phi2 + turn), 0.0
+    elif cause == CAUSE_CUSP:  # coincident turn circles: the two arcs are one
+        phi1, phi2, ls = 0.0, arc_angle(phi1 + phi2), 0.0
+    return ls + ci.r * (phi1 + phi2), phi1, phi2, ls, feasible
 
 
 def _global_minimum(
     start: Configuration,
     circle: TargetCircle,
     path_type: PathType,
-    ci: CanonicalInstance,
-    a: float,
-    side: float,
+    alpha: float,
+    terms: tuple,
     kind: str,
 ) -> GlobalMinimum:
-    """Assemble the path from its kernel terms at a + side; report alpha a."""
-    _, phi1, phi2, ls, _ = canonical_terms_scalar(ci, a + side)
-    goal = final_config_at_alpha(circle, ci.to_world_alpha(a + side))
+    """Assemble the path from its terms at world alpha; report that alpha."""
+    _, phi1, phi2, ls, _ = terms
+    goal = final_config_at_alpha(circle, alpha)
     path = assemble(path_type, start, goal, circle.radius, phi1, ls, phi2)
-    return GlobalMinimum(
-        alpha=ci.to_world_alpha(a),
-        length=path.total_length,
-        phi2=phi2,
-        kind=kind,
-        path=path,
-    )
+    if ls == 0.0 and 0.0 in (phi1, phi2):
+        kind = KIND_SINGLE_ARC
+    return GlobalMinimum(alpha=alpha, length=path.total_length, phi2=phi2, kind=kind, path=path)
 
 
 def shortest_for_type(
@@ -357,9 +369,10 @@ def shortest_for_type(
 
     Co-rotational types get the degenerate-CS minimum at the angle where
     the final arc vanishes.  Counter-rotational types take the least of
-    their stationary minima and the one-sided values at every wrap,
-    feasibility boundary and cusp.  Every candidate is a canonical angle
-    evaluated on the scalar kernel, whose terms give the winner its path.
+    their stationary minima and the pinned paths (``_pinned_terms``) at
+    every wrap, feasibility boundary and cusp.  Every candidate is a
+    canonical angle evaluated once on the scalar kernel, whose terms give
+    the winner its path.
     """
     relation = rotational_relation(path_type, circle.direction)
     ci = canonical_instance(start, circle, path_type)
@@ -367,30 +380,29 @@ def shortest_for_type(
     minima: list[Extremum] = []
     maxima: list[Extremum] = []
 
+    candidates: list[tuple[tuple, float, str]] = []  # (terms, canonical alpha, kind)
     if relation is RotationalRelation.CO_ROTATIONAL:
         a = wraps[0][0]  # the final arc vanishes at its only wrap
-        global_min = _global_minimum(start, circle, path_type, ci, a, 0.0, KIND_DEGENERATE)
-        minima.append(Extremum(global_min.alpha, global_min.length, global_min.phi2))
+        length, _, phi2, _, _ = terms = _pinned_terms(ci, a, CAUSE_PHI2)
+        minima.append(Extremum(ci.to_world_alpha(a), length, phi2))
+        candidates.append((terms, a, KIND_DEGENERATE))
     else:
-        # (kernel length, canonical alpha, side, kind)
-        candidates: list[tuple[float, float, float, str]] = []
         for a, is_min in _stationary_points(ci, [a for a, _ in wraps]):
-            length, _, phi2, _, _ = canonical_terms_scalar(ci, a)
+            length, _, phi2, _, _ = terms = canonical_terms_scalar(ci, a)
             (minima if is_min else maxima).append(Extremum(ci.to_world_alpha(a), length, phi2))
             if is_min:
-                candidates.append((length, a, 0.0, KIND_STATIONARY))
-        events = [(a, KIND_DISCONTINUITY) for a, _ in wraps] + _feasibility_events(ci)
-        for a, kind in events:
-            for side in (-SIDE_PROBE, SIDE_PROBE):
-                length = canonical_terms_scalar(ci, a + side)[0]
-                if not math.isnan(length):
-                    candidates.append((length, a, side, kind))
-        if not candidates:
-            raise InfeasiblePathError(
-                f"{path_type.value} has no feasible arrival angle for this instance"
-            )
-        _, a, side, kind = min(candidates, key=lambda cand: cand[0])
-        global_min = _global_minimum(start, circle, path_type, ci, a, side, kind)
+                candidates.append((terms, a, KIND_STATIONARY))
+        for a, cause in wraps + _feasibility_events(ci):
+            terms = _pinned_terms(ci, a, cause)
+            if terms[4]:
+                kind = KIND_BOUNDARY if cause == KIND_BOUNDARY else KIND_DISCONTINUITY
+                candidates.append((terms, a, kind))
+    if not candidates:
+        raise InfeasiblePathError(
+            f"{path_type.value} has no feasible arrival angle for this instance"
+        )
+    terms, a, kind = min(candidates, key=lambda cand: cand[0][0])
+    global_min = _global_minimum(start, circle, path_type, ci.to_world_alpha(a), terms, kind)
 
     minima.sort(key=lambda e: e.alpha)
     maxima.sort(key=lambda e: e.alpha)

@@ -216,6 +216,19 @@ class TestClosedFormAgreement:
                 right = closed_form_length(ORIGIN, circle, ptype, a + TWO_PI)
                 assert left == pytest.approx(right, abs=1e-11)
 
+    def test_angle_reads_the_same_in_any_call(self):
+        # the double below 2*pi is a vanished arc, 0, whether or not the
+        # other angles in the call make the table reduce them
+        circle = TargetCircle((10, 5), 1.0, RotationDirection.CW)
+        top = np.nextafter(TWO_PI, 0.0)
+        for ptype in PathType:
+            alone = closed_form_table(ORIGIN, circle, ptype, np.array([top]))
+            mixed = closed_form_table(ORIGIN, circle, ptype, np.array([top, -1.0]))
+            zero = closed_form_table(ORIGIN, circle, ptype, np.array([0.0]))
+            for key in ("length", "phi1", "phi2", "ls", "feasible"):
+                _assert_bytes_equal(alone[key], mixed[key][:1])
+                _assert_bytes_equal(alone[key], zero[key])
+
 
 class TestCoRotationalStructure:
     def test_constant_first_segments_and_slope(self):
