@@ -307,8 +307,17 @@ def _terms_into(lsl: bool, ci: CanonicalInstance, length, phi1, phi2, ls, feasib
 
 def _outputs(alpha):
     """Fresh (length, phi1, phi2, ls, feasible) of alpha's shape, with a
-    float copy of alpha in phi2."""
-    length, phi1, phi2, ls = (np.empty(np.shape(alpha)) for _ in range(4))
+    float copy of alpha in phi2.
+
+    The four float outputs are the rows of one (4,) + shape block, so a
+    large call makes one allocation, which the allocator keeps mapped
+    and hands to the next call, instead of four that it unmaps and the
+    next call faults in again.  Each row is still writable, C-contiguous
+    and disjoint from the others (a 0-d view for scalar alpha); holding
+    any one row keeps all four alive.
+    """
+    block = np.empty((4,) + np.shape(alpha))
+    length, phi1, phi2, ls = (block[k, ...] for k in range(4))
     np.copyto(phi2, alpha)
     return length, phi1, phi2, ls, np.empty(phi2.shape, dtype=bool)
 
@@ -319,7 +328,9 @@ def lsl_terms(ci: CanonicalInstance, alpha):
     ``alpha`` is a canonical-frame angle (scalar or ndarray) and is never
     written.  Every output is a new writable C-contiguous array of its
     shape, and the kernel computes inside those five arrays: it
-    allocates nothing else of alpha's size.
+    allocates nothing else of alpha's size.  The four float outputs are
+    disjoint rows of one block (``_outputs``), so holding any one of them
+    keeps all four alive.
     """
     out = _outputs(alpha)
     _terms_into(True, ci, *out)
@@ -348,7 +359,9 @@ def closed_form_table(start: Configuration, circle: TargetCircle, path_type: Pat
     angle has its sign bit set (which also catches -0.0) and every angle
     is below ``ARC_TOP``: there the guarded reduction is the exact identity.
     The kernel runs inside the five fresh outputs, from the canonical
-    angle written to phi2; ``alphas`` is never written.
+    angle written to phi2; ``alphas`` is never written.  The four float
+    arrays are writable, C-contiguous, disjoint rows of one block, so
+    holding any one of them keeps all four alive.
     """
     ci = canonical_instance(start, circle, path_type)
     length, phi1, phi2, ls, feasible = _outputs(alphas)

@@ -144,6 +144,11 @@ def lsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
     # centers in the canonical frame: C1 = (0, r), C2 = goal's left circle
     dx = g.x - r * math.sin(theta)
     dy = g.y + r * math.cos(theta) - r
+    if abs(dy) <= 4.0 * math.ulp(abs(g.y) + 2.0 * r):
+        # within the rounding of the sum, C2 lies on the line y = r, so the
+        # first arc is exactly 0 or pi; rounded, an empty arc could land a
+        # few ulps below 2*pi and read as a full turn
+        dy = 0.0
     ls = math.hypot(dx, dy)
     if ls < DEGENERATE_CENTER_TOL * r:
         # co-located circles: pure arc, all turning on the first arc

@@ -35,7 +35,9 @@ FLAT_TOL = 1e-9
 @dataclass(frozen=True)
 class SweepResult:
     """``alphas`` is the read-only grid every sweep of this ``n`` shares;
-    the other arrays are fresh."""
+    the other arrays are fresh.  ``lengths``, ``phi1``, ``phi2`` and
+    ``ls`` are writable, C-contiguous, disjoint rows of one block, so
+    holding any one of them keeps all four alive."""
 
     path_type: PathType
     n: int

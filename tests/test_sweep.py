@@ -1,8 +1,13 @@
 """Unit tests for the sweep oracle and its refinement."""
 
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +236,38 @@ def test_sweep_and_refine_allocate_little_beyond_the_result(circle, ptype):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 8 * n
+
+
+# the 8 (type, direction) scenes at centre (10, 5); three warm-up rounds,
+# then the minor page faults of one more, per operation
+_FAULT_LOOP = """
+import resource
+from dubins_circle import Configuration, PathType, RotationDirection, TargetCircle
+from dubins_circle.sweep import refine_min, sweep
+
+start = Configuration(0, 0, 0)
+scenes = [(TargetCircle((10, 5), 1.0, d), p) for d in RotationDirection for p in PathType]
+for _ in range(3):
+    for circle, ptype in scenes:
+        refine_min(sweep(start, circle, ptype, n=200000), start, circle)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for circle, ptype in scenes:
+    refine_min(sweep(start, circle, ptype, n=200000), start, circle)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(scenes))
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the fault count depends on glibc's allocator"
+)
+def test_sweep_reuses_its_memory_across_operations():
+    # one sweep's four float outputs are one 6.4 MB block, which glibc keeps
+    # mapped and hands to the next sweep; four separate 1.6 MB blocks go back
+    # to the OS on free and cost ~1,600 minor faults per operation. A fresh
+    # interpreter, so the allocator starts clean.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULT_LOOP], env=env, capture_output=True, text=True, check=True
+    )
+    assert float(done.stdout) <= 50
