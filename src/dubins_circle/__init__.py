@@ -28,11 +28,10 @@ from .errors import (
     DubinsCircleError,
     InfeasiblePathError,
 )
-from .export import PathScene, SweepPlot, export_sweep_csv, parse_sweep_csv, render_svg
+from .export import PathScene, SweepPlot, export_sweep_csv, render_svg
 from .geometry import (
     Configuration,
     FrameTransform,
-    atan2_ratio,
     mirror_transform,
     normalize_angle,
     to_canonical,
@@ -92,7 +91,6 @@ __all__ = [
     "TargetCircle",
     "analytic_derivative",
     "assumption_check",
-    "atan2_ratio",
     "canonical_instance",
     "closed_form_length",
     "closed_form_table",
@@ -108,7 +106,6 @@ __all__ = [
     "mirror_transform",
     "normalize_angle",
     "parse_instance",
-    "parse_sweep_csv",
     "perpendicular_distance_to_center",
     "random_instance",
     "refine_min",

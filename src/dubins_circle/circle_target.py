@@ -33,7 +33,6 @@ from .errors import DegenerateDirectionError
 from .geometry import (
     ARC_TOP,
     Configuration,
-    FrameTransform,
     HALF_PI,
     TWO_PI,
     arc_angle,
@@ -322,30 +321,21 @@ def _outputs(alpha):
     return length, phi1, phi2, ls, np.empty(phi2.shape, dtype=bool)
 
 
-def lsl_terms(ci: CanonicalInstance, alpha):
-    """Vectorized canonical LSL terms: (length, phi1, phi2, ls, feasible).
+def canonical_terms(ci: CanonicalInstance, alpha):
+    """Vectorized canonical terms of ``ci``'s family: (length, phi1, phi2,
+    ls, feasible).
 
     ``alpha`` is a canonical-frame angle (scalar or ndarray) and is never
     written.  Every output is a new writable C-contiguous array of its
     shape, and the kernel computes inside those five arrays: it
-    allocates nothing else of alpha's size.  The four float outputs are
-    disjoint rows of one block (``_outputs``), so holding any one of them
-    keeps all four alive.
+    allocates nothing else of alpha's size, except the mask of a partly
+    infeasible RSL call.  Infeasible samples (turn-circle centers closer
+    than 2r) carry NaN in every numeric output and False in the mask.
+    The four float outputs are disjoint rows of one block (``_outputs``),
+    so holding any one of them keeps all four alive.
     """
     out = _outputs(alpha)
-    _terms_into(True, ci, *out)
-    return out
-
-
-def rsl_terms(ci: CanonicalInstance, alpha):
-    """Vectorized canonical RSL terms: (length, phi1, phi2, ls, feasible).
-
-    Infeasible samples (turn-circle centers closer than 2r) carry NaN in
-    every numeric output and False in the feasibility mask.  Otherwise as
-    ``lsl_terms``, but a partly infeasible call also allocates that mask.
-    """
-    out = _outputs(alpha)
-    _terms_into(False, ci, *out)
+    _terms_into(ci.kind is PathType.LSL, ci, *out)
     return out
 
 
@@ -427,15 +417,11 @@ def closed_form_length(
     return canonical_terms_scalar(ci, a)[0]
 
 
-def mirror_problem(
-    start: Configuration, circle: TargetCircle
-) -> tuple[Configuration, TargetCircle, FrameTransform]:
-    """Reflect the scene across the line through the start pose's heading.
+def mirror_problem(start: Configuration, circle: TargetCircle) -> TargetCircle:
+    """Reflect the circle across the line through the start pose's heading.
 
     The start is fixed by the reflection; the circle center reflects and
-    its rotation direction flips.  Applying the returned transform twice
-    is the identity.
+    its rotation direction flips.  Mirroring twice gives the circle back.
     """
-    tm = mirror_transform(start)
-    center = tm.apply_point(*circle.center)
-    return start, TargetCircle(center, circle.radius, circle.direction.opposite), tm
+    center = mirror_transform(start).apply_point(*circle.center)
+    return TargetCircle(center, circle.radius, circle.direction.opposite)

@@ -103,22 +103,15 @@ def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     if args.type == "all":
         result = shortest_to_circle(instance.start, instance.circle)
-        chosen_type = result.path_type
-        path, alpha, length = result.path, result.alpha, result.length
-        reports = result.per_type
-        assumption_ok = result.assumption_ok
-        tie = result.tie
+        chosen_type, reports = result.path_type, result.per_type
     else:
-        ptype = PathType(args.type)
-        report = shortest_for_type(instance.start, instance.circle, ptype)
-        chosen_type = ptype
-        path = report.global_min.path
-        alpha, length = report.global_min.alpha, report.global_min.length
-        reports = {ptype: report}
-        assumption_ok = report.assumption_ok
-        tie = report.tie
+        chosen_type = PathType(args.type)
+        reports = {chosen_type: shortest_for_type(instance.start, instance.circle, chosen_type)}
+    report = reports[chosen_type]
+    best, assumption_ok = report.global_min, report.assumption_ok
+    path, alpha = best.path, best.alpha
 
-    print(f"{chosen_type.value}, length {_f(length)}")
+    print(f"{chosen_type.value}, length {_f(best.length)}")
     print(f"alpha_rad {_f(alpha)}")
     print(f"alpha_deg {_f(math.degrees(alpha))}")
     print(f"phi1 {_f(path.phi1)}")
@@ -134,12 +127,12 @@ def cmd_solve(args) -> int:
             "type": chosen_type.value,
             "alpha": alpha,
             "alpha_degrees": math.degrees(alpha),
-            "length": length,
+            "length": best.length,
             "phi1": path.phi1,
             "ls": path.ls,
             "phi2": path.phi2,
             "assumption_ok": assumption_ok,
-            "tie": tie,
+            "tie": report.tie,
             "per_type": {pt.value: _report_doc(rep) for pt, rep in reports.items()},
         }
         Path(args.json_out).write_text(
@@ -199,21 +192,40 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fd_derivative(instance: Instance, ptype: PathType, alpha: float, h: float = 1e-6) -> float:
-    hi = closed_form_length(instance.start, instance.circle, ptype, alpha + h)
-    lo = closed_form_length(instance.start, instance.circle, ptype, alpha - h)
-    return (hi - lo) / (2.0 * h)
+_FD_STEP = 1e-6
+# smooth probe angles keep this far (rad) from every discontinuity
+_SMOOTH_MARGIN = 1e-3
 
 
-def _smooth_alphas(report: ExtremumReport, rng: random.Random, count: int, margin: float = 1e-3):
+def _fd_derivative(instance: Instance, ptype: PathType, alpha: float) -> float:
+    hi = closed_form_length(instance.start, instance.circle, ptype, alpha + _FD_STEP)
+    lo = closed_form_length(instance.start, instance.circle, ptype, alpha - _FD_STEP)
+    return (hi - lo) / (2.0 * _FD_STEP)
+
+
+def _smooth_alphas(report: ExtremumReport, rng: random.Random, count: int):
     out = []
     guard = 0
     while len(out) < count and guard < 50 * count:
         guard += 1
         a = rng.uniform(0.0, TWO_PI)
-        if all(abs(wrap_to_pi(a - d.alpha)) > margin for d in report.discontinuities):
+        if all(abs(wrap_to_pi(a - d.alpha)) > _SMOOTH_MARGIN for d in report.discontinuities):
             out.append(a)
     return out
+
+
+# each check's pass limit, in the order of the printed table;
+# --tolerance sets the oracle-agreement-length limit
+_CHECK_LIMITS = {
+    "closed-form-vs-constructor": 1e-9,
+    "derivative-vs-finite-difference": 1e-4,
+    "counter-extremum-phi2": 1e-6,
+    "co-min-degenerate-phi2": 1e-7,
+    "perpendicular-distance": 1e-6,
+    "discontinuity-jump": 1e-6,
+    "oracle-agreement-length": None,
+    "oracle-agreement-alpha": 1e-4,
+}
 
 
 def run_checks(instances: list[Instance], tolerance: float, n: int, seed: int):
@@ -223,16 +235,12 @@ def run_checks(instances: list[Instance], tolerance: float, n: int, seed: int):
     deviation for that check.
     """
     rng = random.Random(seed ^ 0x5EED)
-    worst = {
-        "closed-form-vs-constructor": 0.0,
-        "derivative-vs-finite-difference": 0.0,
-        "counter-extremum-phi2": 0.0,
-        "co-min-degenerate-phi2": 0.0,
-        "perpendicular-distance": 0.0,
-        "discontinuity-jump": 0.0,
-        "oracle-agreement-length": 0.0,
-        "oracle-agreement-alpha": 0.0,
-    }
+    limits = {**_CHECK_LIMITS, "oracle-agreement-length": tolerance}
+    worst = dict.fromkeys(limits, 0.0)
+
+    def note(name: str, value: float) -> None:
+        worst[name] = max(worst[name], value)
+
     for instance in instances:
         start, circle = instance.start, instance.circle
         r = circle.radius
@@ -248,18 +256,13 @@ def run_checks(instances: list[Instance], tolerance: float, n: int, seed: int):
                 if math.isnan(cf):
                     continue  # the type does not exist at this alpha
                 ev = length_at_alpha(start, circle, ptype, a)
-                diff = abs(cf - ev.length) / max(1.0, ev.length)
-                worst["closed-form-vs-constructor"] = max(
-                    worst["closed-form-vs-constructor"], diff
-                )
+                note("closed-form-vs-constructor", abs(cf - ev.length) / max(1.0, ev.length))
                 analytic = analytic_derivative(
                     start, circle, ptype, a,
                     known_discontinuities=report.discontinuities,
                 )
                 fd = _fd_derivative(instance, ptype, a)
-                worst["derivative-vs-finite-difference"] = max(
-                    worst["derivative-vs-finite-difference"], abs(fd - analytic)
-                )
+                note("derivative-vs-finite-difference", abs(fd - analytic))
 
             if relation is RotationalRelation.COUNTER_ROTATIONAL:
                 low, high = math.pi / 3.0, 5.0 * math.pi / 3.0
@@ -270,47 +273,25 @@ def run_checks(instances: list[Instance], tolerance: float, n: int, seed: int):
                     # nearer starts can also give a minimum at 5*pi/3
                     targets = [(e, (low, high)) for e in report.minima + report.maxima]
                 for extremum, phis in targets:
-                    worst["counter-extremum-phi2"] = max(
-                        worst["counter-extremum-phi2"],
-                        min(abs(extremum.phi2 - phi) for phi in phis),
-                    )
+                    note("counter-extremum-phi2", min(abs(extremum.phi2 - phi) for phi in phis))
                     ev = length_at_alpha(start, circle, ptype, extremum.alpha)
                     dist = perpendicular_distance_to_center(ev.path, circle)
-                    worst["perpendicular-distance"] = max(
-                        worst["perpendicular-distance"], dist / r
-                    )
+                    note("perpendicular-distance", dist / r)
             else:
-                worst["co-min-degenerate-phi2"] = max(
-                    worst["co-min-degenerate-phi2"], report.global_min.phi2
-                )
+                note("co-min-degenerate-phi2", report.global_min.phi2)
 
             for disc in report.discontinuities:
-                worst["discontinuity-jump"] = max(
-                    worst["discontinuity-jump"], abs(abs(disc.jump) - TWO_PI * r) / r
-                )
+                note("discontinuity-jump", abs(abs(disc.jump) - TWO_PI * r) / r)
 
             grid = sweep(start, circle, ptype, n=n)
             refined = refine_min(grid, start, circle)
-            worst["oracle-agreement-length"] = max(
-                worst["oracle-agreement-length"],
-                abs(report.global_min.length - refined.length) / r,
-            )
+            note("oracle-agreement-length", abs(report.global_min.length - refined.length) / r)
             if not refined.flat:
-                worst["oracle-agreement-alpha"] = max(
-                    worst["oracle-agreement-alpha"],
+                note(
+                    "oracle-agreement-alpha",
                     abs(wrap_to_pi(report.global_min.alpha - refined.alpha)),
                 )
 
-    limits = {
-        "closed-form-vs-constructor": 1e-9,
-        "derivative-vs-finite-difference": 1e-4,
-        "counter-extremum-phi2": 1e-6,
-        "co-min-degenerate-phi2": 1e-7,
-        "perpendicular-distance": 1e-6,
-        "discontinuity-jump": 1e-6,
-        "oracle-agreement-length": tolerance,
-        "oracle-agreement-alpha": 1e-4,
-    }
     rows = [(name, worst[name] <= limits[name], worst[name]) for name in worst]
     return rows, all(passed for _, passed, _ in rows)
 

@@ -21,6 +21,13 @@ _STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _DASHES = ("", "7,3", "2,2", "8,3,2,3", "5,5", "1,3")
 
 
+def _pen(i: int, width: str) -> str:
+    """Stroke attributes of the i-th curve: colour and dash cycle."""
+    dash = _DASHES[i % len(_DASHES)]
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return f'stroke="{_STROKES[i % len(_STROKES)]}" stroke-width="{width}"{dash_attr}'
+
+
 def fmt12(x: float) -> str:
     """12-significant-digit decimal representation."""
     return format(float(x), ".12g")
@@ -63,24 +70,6 @@ def export_sweep_csv(result: SweepResult, destination) -> None:
         raise OSError(f"cannot write sweep CSV to {destination!r}: {exc}") from exc
 
 
-def parse_sweep_csv(source) -> list[dict]:
-    """Parse a file written by export_sweep_csv back into row dicts."""
-    rows = []
-    text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{source!r} is not a sweep CSV (bad header)")
-    for line in lines[1:]:
-        alpha, length, phi1, phi2, ls, feasible = line.split(",")
-        row = {"alpha": float(alpha), "feasible": feasible == "true"}
-        if row["feasible"]:
-            row.update(
-                length=float(length), phi1=float(phi1), phi2=float(phi2), ls=float(ls)
-            )
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class PathScene:
     """A geometric scene: sampled paths, circles, the start pose, markers."""
@@ -116,15 +105,16 @@ def render_svg(scene, destination) -> None:
 class _Projection:
     """World to SVG coordinates: uniform scale, 5% margin, y up."""
 
-    def __init__(self, xmin, xmax, ymin, ymax, width=800.0):
+    width = 800.0
+
+    def __init__(self, xmin, xmax, ymin, ymax):
         spanx = max(xmax - xmin, 1e-9)
         spany = max(ymax - ymin, 1e-9)
         margin = 0.05 * max(spanx, spany)
         self.xmin, self.ymin = xmin - margin, ymin - margin
         spanx += 2 * margin
         spany += 2 * margin
-        self.scale = width / spanx
-        self.width = width
+        self.scale = self.width / spanx
         self.height = spany * self.scale
 
     def point(self, x, y):
@@ -165,13 +155,7 @@ def _legend(labels: Sequence[str]) -> list[str]:
     body = []
     for i, label in enumerate(labels):
         y = 20.0 + 18.0 * i
-        stroke = _STROKES[i % len(_STROKES)]
-        dash = _DASHES[i % len(_DASHES)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        body.append(
-            f'<line x1="10" y1="{_fmt(y)}" x2="40" y2="{_fmt(y)}" '
-            f'stroke="{stroke}" stroke-width="2"{dash_attr}/>'
-        )
+        body.append(f'<line x1="10" y1="{_fmt(y)}" x2="40" y2="{_fmt(y)}" {_pen(i, "2")}/>')
         body.append(
             f'<text x="46" y="{_fmt(y + 4)}" font-family="sans-serif" '
             f'font-size="12">{label}</text>'
@@ -192,13 +176,7 @@ def _render_scene(scene: PathScene) -> str:
         points = " ".join(
             f"{_fmt(px)},{_fmt(py)}" for px, py in (proj.point(x, y) for x, y, _ in sample.poses)
         )
-        stroke = _STROKES[i % len(_STROKES)]
-        dash = _DASHES[i % len(_DASHES)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        body.append(
-            f'<polyline points="{points}" fill="none" stroke="{stroke}" '
-            f'stroke-width="2"{dash_attr}/>'
-        )
+        body.append(f'<polyline points="{points}" fill="none" {_pen(i, "2")}/>')
     if scene.start is not None:
         px, py = proj.point(scene.start.x, scene.start.y)
         hx = px + 18.0 * math.cos(scene.start.theta)
@@ -246,9 +224,6 @@ def _render_plot(plot: SweepPlot) -> str:
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     for i, (label, alphas, lengths) in enumerate(plot.curves):
-        stroke = _STROKES[i % len(_STROKES)]
-        dash = _DASHES[i % len(_DASHES)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         runs: list[list[str]] = [[]]
         previous = None
         for alpha, length in zip(alphas, lengths):
@@ -265,8 +240,7 @@ def _render_plot(plot: SweepPlot) -> str:
         for run in runs:
             if len(run) >= 2:
                 body.append(
-                    f'<polyline points="{" ".join(run)}" fill="none" '
-                    f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
+                    f'<polyline points="{" ".join(run)}" fill="none" {_pen(i, "1.5")}/>'
                 )
     body.extend(_legend([label for label, _, _ in plot.curves]))
     return _svg_document(body, proj.width, proj.height)

@@ -2,7 +2,7 @@
 
 The CSC path formulas are stated in canonical frames (start pose at the
 origin with heading 0 for L-first paths, pi/2 for R-first paths).
-``FrameTransform`` carries arbitrary scenes into and out of those frames;
+``FrameTransform`` carries arbitrary scenes into those frames;
 its optional reflection exchanges left- and right-turning paths.
 """
 
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import DegenerateDirectionError
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -58,16 +56,6 @@ def wrap_to_pi(a: float) -> float:
     return b
 
 
-def atan2_ratio(num: float, den: float) -> float:
-    """Quadrant-aware arctangent of num/den: the angle of the vector (den, num).
-
-    Result lies in (-pi, pi].  Raises DegenerateDirectionError for (0, 0).
-    """
-    if num == 0.0 and den == 0.0:
-        raise DegenerateDirectionError("direction of the zero vector is undefined")
-    return math.atan2(num, den)
-
-
 def rotate(x: float, y: float, angle: float) -> tuple[float, float]:
     """Rotate the vector (x, y) by ``angle`` about the origin."""
     c, s = math.cos(angle), math.sin(angle)
@@ -108,25 +96,11 @@ class FrameTransform:
             py = -py
         return px + self.translation[0], py + self.translation[1]
 
-    def apply_direction(self, angle: float) -> float:
-        """Map a direction angle (headings, tangents); result in [0, 2*pi)."""
-        a = angle + self.rotation
-        if self.reflection:
-            a = -a
-        return normalize_angle(a)
-
     def apply_config(self, config: Configuration) -> Configuration:
+        """Map a pose; its heading maps as a direction angle."""
         x, y = self.apply_point(config.x, config.y)
-        return Configuration(x, y, self.apply_direction(config.theta))
-
-    def inverse(self) -> FrameTransform:
-        tx, ty = self.translation
-        if self.reflection:
-            # inverse of p -> S R p + t is q -> S R (q - t)
-            ux, uy = rotate(tx, ty, self.rotation)
-            return FrameTransform(self.rotation, (-ux, uy), True)
-        ux, uy = rotate(tx, ty, -self.rotation)
-        return FrameTransform(-self.rotation, (-ux, -uy), False)
+        theta = config.theta + self.rotation
+        return Configuration(x, y, -theta if self.reflection else theta)
 
 
 def to_canonical(start: Configuration, target_heading: float = 0.0) -> FrameTransform:

@@ -21,7 +21,6 @@ from .errors import InfeasiblePathError
 from .geometry import (
     Configuration,
     HALF_PI,
-    atan2_ratio,
     mirror_transform,
     normalize_angle,
     to_canonical,
@@ -154,7 +153,7 @@ def lsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
         # co-located circles: pure arc, all turning on the first arc
         phi1, ls, phi2 = normalize_angle(theta), 0.0, 0.0
     else:
-        phi1 = normalize_angle(atan2_ratio(dy, dx))
+        phi1 = normalize_angle(math.atan2(dy, dx))
         phi2 = normalize_angle(theta - phi1)
     return assemble(PathType.LSL, start, goal, r, phi1, ls, phi2)
 
@@ -173,15 +172,19 @@ def rsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
     # canonical centers: C1 = (r, 0), C2 = goal's left circle
     wx = g.x - r * math.sin(theta) - r
     wy = g.y + r * math.cos(theta)
+    if abs(wx + 2.0 * r) <= 4.0 * math.ulp(abs(g.x) + 2.0 * r):
+        # within the rounding of the sum, C2 lies on the line x = -r, where
+        # a straight along the start ray is tangent to both circles
+        wx = -2.0 * r
     lcc = math.hypot(wx, wy)
     if lcc < 2.0 * r * (1.0 - INNER_TANGENT_REL_TOL):
         raise InfeasiblePathError(
             f"no inner tangent: center distance {lcc:.6g} < 2r = {2.0 * r:.6g}"
         )
-    ls = math.sqrt(max(lcc * lcc - 4.0 * r * r, 0.0))
-    psi1 = atan2_ratio(wy, wx)
-    psi2 = atan2_ratio(2.0 * r, ls)  # ls = 0 gives the tangency limit pi/2
-    phi1 = normalize_angle(-psi1 + psi2 + HALF_PI)
+    ls = math.sqrt(max((wx - 2.0 * r) * (wx + 2.0 * r) + wy * wy, 0.0))
+    # phi1 is pi/2 minus the straight's heading, w turned clockwise by
+    # atan2(2r, ls); at wx = -2r and wy > 0, ls = wy and phi1 = 0 exactly
+    phi1 = normalize_angle(math.atan2(ls * wx + 2.0 * r * wy, ls * wy - 2.0 * r * wx))
     phi2 = normalize_angle(theta + phi1 - HALF_PI)
     return assemble(PathType.RSL, start, goal, r, phi1, ls, phi2)
 

@@ -47,11 +47,10 @@ from .circle_target import (
     TargetCircle,
     assumption_check,
     canonical_instance,
+    canonical_terms,
     canonical_terms_scalar,
     final_config_at_alpha,
-    lsl_terms,
     rotational_relation,
-    rsl_terms,
 )
 from .errors import AtDiscontinuityError, InfeasiblePathError
 from .geometry import Configuration, HALF_PI, TWO_PI, arc_angle, normalize_angle, wrap_to_pi
@@ -185,7 +184,7 @@ def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]
         a0 = phi1 - HALF_PI if ci.kind is PathType.LSL else -phi1
         return [(a0 % TWO_PI, CAUSE_PHI2)]
     grid = np.arange(SCAN_SAMPLES) * (TWO_PI / SCAN_SAMPLES)
-    terms = lsl_terms(ci, grid) if ci.kind is PathType.LSL else rsl_terms(ci, grid)
+    terms = canonical_terms(ci, grid)
     found: list[tuple[float, str]] = []
     for i, cause in ((1, CAUSE_PHI1), (2, CAUSE_PHI2)):
         # a wrap is a zero crossing of the arc angle folded to (-pi, pi];

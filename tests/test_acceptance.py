@@ -303,7 +303,7 @@ def test_criterion_7_mirror_symmetry():
     worst_len, worst_alpha = 0.0, 0.0
     for _ in range(500):
         inst = random_instance(rng)
-        _, mirrored, _ = mirror_problem(inst.start, inst.circle)
+        mirrored = mirror_problem(inst.start, inst.circle)
         for ptype in PathType:
             rep = shortest_for_type(inst.start, inst.circle, ptype)
             rep_m = shortest_for_type(inst.start, mirrored, ptype.mirrored)

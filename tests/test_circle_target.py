@@ -27,8 +27,7 @@ from dubins_circle.circle_target import (
     _fold_two_pi,
     _mod_two_pi,
     canonical_instance,
-    lsl_terms,
-    rsl_terms,
+    canonical_terms,
 )
 from dubins_circle.instances import random_instance
 from dubins_circle.paths import INNER_TANGENT_REL_TOL
@@ -183,16 +182,9 @@ class TestClosedFormAgreement:
                     cf, abs=1e-12
                 )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="rsl_between sums phi1 from two rounded arctangents and a rounded "
-        "sqrt, so an empty first arc can land 2 ulps below 2*pi (LSR-cw (0.5, -1) "
-        "FOUND line in CHANGES.md)",
-    )
     def test_empty_inner_tangent_first_arc_reads_zero(self):
         # LSR-cw (0.5, -1): the straight runs along the start ray, so the
-        # first arc is empty at every angle; at this one the constructor
-        # reads it as a full turn
+        # first arc is empty at every angle and must read 0, not 2*pi
         circle = TargetCircle((0.5, -1.0), 1.0, "cw")
         a = 0.05269402848437588
         cf = closed_form_length(ORIGIN, circle, PathType.LSR, a)
@@ -342,10 +334,9 @@ def _reference_rsl_terms(ci, alpha):
     return length + nan, phi1 + nan, phi2 + nan, ls + nan, feasible
 
 
-def _kernels(ci):
-    if ci.kind is PathType.LSL:
-        return lsl_terms, _reference_lsl_terms
-    return rsl_terms, _reference_rsl_terms
+def _reference_terms(ci, alpha):
+    family = _reference_lsl_terms if ci.kind is PathType.LSL else _reference_rsl_terms
+    return family(ci, alpha)
 
 
 def _assert_bytes_equal(got, want):
@@ -402,24 +393,22 @@ class TestKernelBitIdentity:
         assert {(ci.kind, ci.cw) for ci in cases} == {
             (kind, cw) for kind in (PathType.LSL, PathType.RSL) for cw in (True, False)
         }
-        feasible = [rsl_terms(ci, _GRID)[4] for ci in cases[-2:]]
+        feasible = [canonical_terms(ci, _GRID)[4] for ci in cases[-2:]]
         assert feasible[0].any() and not feasible[0].all()
         assert not feasible[1].any()
 
     @pytest.mark.parametrize("alphas", [_SPECIAL_ALPHAS, _GRID], ids=["special", "grid"])
     def test_matches_np_mod_formulas(self, alphas):
         for ci in _bit_identity_instances():
-            kernel, reference = _kernels(ci)
-            for got, want in zip(kernel(ci, alphas), reference(ci, alphas)):
+            for got, want in zip(canonical_terms(ci, alphas), _reference_terms(ci, alphas)):
                 _assert_bytes_equal(got, want)
 
     def test_scalar_and_zero_d_alpha(self):
         for ci in _bit_identity_instances():
-            kernel, reference = _kernels(ci)
             for alpha in (0.7, -0.0, np.float64(4.0), np.array(1e3)):
-                got = kernel(ci, alpha)
+                got = canonical_terms(ci, alpha)
                 assert all(np.ndim(x) == 0 for x in got)
-                for g, w in zip(got, reference(ci, alpha)):
+                for g, w in zip(got, _reference_terms(ci, alpha)):
                     _assert_bytes_equal(g, w)
 
     def test_table_and_sweep_match_np_mod_route(self):
@@ -431,16 +420,15 @@ class TestKernelBitIdentity:
                 circle = TargetCircle(circle.center, circle.radius, direction)
                 for ptype in PathType:
                     ci = canonical_instance(start, circle, ptype)
-                    reference = _kernels(ci)[1]
                     result = sweep(start, circle, ptype, n=20011)
                     grid = np.arange(20011) * (TWO_PI / 20011)
                     _assert_bytes_equal(result.alphas, grid)
-                    want = reference(ci, ci.to_canonical_alpha(_np_mod_arc(grid)))
+                    want = _reference_terms(ci, ci.to_canonical_alpha(_np_mod_arc(grid)))
                     got = (result.lengths, result.phi1, result.phi2, result.ls, result.feasible)
                     for g, w in zip(got, want):
                         _assert_bytes_equal(g, w)
                     table = closed_form_table(start, circle, ptype, world)
-                    want = reference(ci, ci.to_canonical_alpha(_np_mod_arc(world)))
+                    want = _reference_terms(ci, ci.to_canonical_alpha(_np_mod_arc(world)))
                     for key, w in zip(("length", "phi1", "phi2", "ls", "feasible"), want):
                         _assert_bytes_equal(table[key], w)
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
@@ -128,6 +129,18 @@ class TestSolve:
         code, _, err = run_cli(["solve", str(path)])
         assert code == 1
         assert "theta" in err
+
+    def test_console_script_exit_codes(self, tmp_path, monkeypatch, capsys):
+        # the installed dubins-circle script calls main_entry, which exits
+        # with main's code: 0 for a far solve, 2 within 4r of the circle
+        for (cx, cy), code in (((10.0, 5.0), 0), ((2.0, 0.5), 2)):
+            circle = {"cx": cx, "cy": cy, "r": 1.0, "direction": "cw"}
+            inst = write_instance(tmp_path, circle=circle)
+            monkeypatch.setattr(sys, "argv", ["dubins-circle", "solve", inst])
+            with pytest.raises(SystemExit) as exc:
+                cli.main_entry()
+            assert exc.value.code == code
+            assert ("warning" in capsys.readouterr().err) == (code == 2)
 
     def test_usage_error_exit_one(self, tmp_path):
         inst = write_instance(tmp_path)

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dubins_circle import (
     Configuration,
-    DegenerateDirectionError,
-    atan2_ratio,
     mirror_problem,
     mirror_transform,
     normalize_angle,
@@ -65,17 +63,6 @@ def test_wrap_to_pi_range(a):
     assert math.sin(b) == pytest.approx(math.sin(a), abs=1e-12)
 
 
-def test_atan2_ratio_examples():
-    assert atan2_ratio(1.0, 0.0) == pytest.approx(math.pi / 2)
-    assert atan2_ratio(0.0, 1.0) == 0.0
-    assert atan2_ratio(1.0, -1.0) == pytest.approx(3 * math.pi / 4)
-
-
-def test_atan2_ratio_degenerate():
-    with pytest.raises(DegenerateDirectionError):
-        atan2_ratio(0.0, 0.0)
-
-
 def test_configuration_normalizes_heading():
     c = Configuration(1.0, 2.0, -math.pi / 2)
     assert c.theta == pytest.approx(3 * math.pi / 2)
@@ -86,7 +73,7 @@ def test_configuration_normalizes_heading():
 def test_to_canonical_identity():
     t = to_canonical(Configuration(0, 0, 0), 0.0)
     assert t.apply_point(0.0, 0.0) == (0.0, 0.0)
-    assert t.apply_direction(0.0) == 0.0
+    assert t.apply_config(Configuration(0, 0, 0)).theta == 0.0
 
 
 def test_to_canonical_examples():
@@ -95,32 +82,12 @@ def test_to_canonical_examples():
     assert t.rotation == pytest.approx(-math.pi / 2)
     mapped = t.apply_config(start)
     assert (mapped.x, mapped.y, mapped.theta) == pytest.approx((0, 0, 0), abs=1e-12)
-    back = t.inverse().apply_config(mapped)
-    assert (back.x, back.y, back.theta) == pytest.approx((3, 4, math.pi / 2), abs=1e-12)
 
     start = Configuration(1, 1, math.pi)
     t = to_canonical(start, math.pi / 2)
     mapped = t.apply_config(start)
     assert (mapped.x, mapped.y) == pytest.approx((0, 0), abs=1e-12)
     assert mapped.theta == pytest.approx(math.pi / 2)
-    back = t.inverse().apply_config(mapped)
-    assert (back.x, back.y, back.theta) == pytest.approx((1, 1, math.pi), abs=1e-12)
-
-
-def test_to_canonical_round_trip_many():
-    rng = random.Random(11)
-    for _ in range(1000):
-        start = Configuration(
-            rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0, TWO_PI)
-        )
-        target = rng.choice((0.0, math.pi / 2))
-        t = to_canonical(start, target)
-        probe = Configuration(
-            rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0, TWO_PI)
-        )
-        double = t.inverse().apply_config(t.apply_config(probe))
-        assert (double.x, double.y) == pytest.approx((probe.x, probe.y), abs=1e-10)
-        assert wrap_to_pi(double.theta - probe.theta) == pytest.approx(0.0, abs=1e-10)
 
 
 @given(coords, coords, angles, coords, coords, angles)
@@ -147,18 +114,18 @@ def test_mirror_transform_fixes_start_and_flips_turns():
 def test_mirror_problem_examples():
     start = Configuration(0, 0, 0)
     circle = TargetCircle((5, 3), 1.0, RotationDirection.CCW)
-    _, mirrored, _ = mirror_problem(start, circle)
+    mirrored = mirror_problem(start, circle)
     assert mirrored.center == pytest.approx((5, -3), abs=1e-12)
     assert mirrored.direction is RotationDirection.CW
 
     circle = TargetCircle((5, 0), 1.0, RotationDirection.CW)
-    _, mirrored, _ = mirror_problem(start, circle)
+    mirrored = mirror_problem(start, circle)
     assert mirrored.center == pytest.approx((5, 0), abs=1e-12)
     assert mirrored.direction is RotationDirection.CCW
 
     start = Configuration(2, 1, math.pi / 2)
     circle = TargetCircle((4, 5), 1.0, RotationDirection.CCW)
-    _, mirrored, _ = mirror_problem(start, circle)
+    mirrored = mirror_problem(start, circle)
     assert mirrored.center == pytest.approx((0, 5), abs=1e-12)
     assert mirrored.direction is RotationDirection.CW
 
@@ -174,7 +141,7 @@ def test_mirror_problem_involution_many():
             rng.uniform(0.1, 3.0),
             RotationDirection.CW if rng.random() < 0.5 else RotationDirection.CCW,
         )
-        _, once, _ = mirror_problem(start, circle)
-        _, twice, _ = mirror_problem(start, once)
+        once = mirror_problem(start, circle)
+        twice = mirror_problem(start, once)
         assert twice.center == pytest.approx(circle.center, abs=1e-10)
         assert twice.direction is circle.direction

@@ -16,7 +16,6 @@ from dubins_circle import (
     csc_between,
     export_sweep_csv,
     lsl_between,
-    parse_sweep_csv,
     render_svg,
     sample_path,
 )
@@ -125,14 +124,14 @@ class TestCsv:
         out = tmp_path / "sweep.csv"
         result = sweep(ORIGIN, TargetCircle((10, 5), 1.0, "cw"), PathType.LSL, n=32)
         export_sweep_csv(result, out)
-        rows = parse_sweep_csv(out)
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert len(rows) == 32
-        for k, row in enumerate(rows):
-            assert row["feasible"] is True
-            assert row["alpha"] == float(fmt12(result.alphas[k]))
-            assert row["length"] == float(fmt12(result.lengths[k]))
+        for k, (alpha, length, _, _, _, feasible) in enumerate(rows):
+            assert feasible == "true"
+            assert float(alpha) == float(fmt12(result.alphas[k]))
+            assert float(length) == float(fmt12(result.lengths[k]))
             # formatting is stable under one parse/format cycle
-            assert fmt12(row["length"]) == fmt12(result.lengths[k])
+            assert fmt12(float(length)) == fmt12(result.lengths[k])
 
     def test_infeasible_rows_have_empty_fields(self, tmp_path):
         circle = TargetCircle((0.5, -1.0), 1.0, RotationDirection.CCW)
@@ -141,8 +140,8 @@ class TestCsv:
         export_sweep_csv(result, out)
         lines = out.read_text().splitlines()
         assert lines[1].endswith(",,,,false")
-        rows = parse_sweep_csv(out)
-        assert all(row["feasible"] is False for row in rows)
+        assert len(lines) == 17
+        assert all(line.split(",")[5] == "false" for line in lines[1:])
 
     def test_io_error_names_destination(self, tmp_path):
         result = _tiny_sweep_result()

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from dubins_circle import (
     wrap_to_pi,
 )
 from dubins_circle import solver as solver_mod
-from dubins_circle.circle_target import canonical_terms_scalar, lsl_terms, rsl_terms
+from dubins_circle.circle_target import canonical_terms, canonical_terms_scalar
 from dubins_circle.instances import random_instance
 from dubins_circle.sweep import refine_min, sweep
 from test_check_grid import _grid_scenes
@@ -364,7 +366,7 @@ class TestDiscontinuities:
                for s in range(3) for pt in (PathType.LSL, PathType.RSL)]
         for ptype, center in near + far:
             ci = solver_mod.canonical_instance(ORIGIN, TargetCircle(center, 1.0, CW), ptype)
-            terms = (lsl_terms if ptype is PathType.LSL else rsl_terms)(ci, grid)
+            terms = canonical_terms(ci, grid)
             for i in (1, 2):
                 # the kernel's phi1 or phi2 folded from [0, 2*pi) to (-pi, pi]
                 vals = np.where(terms[i] > math.pi, terms[i] - TWO_PI, terms[i])
@@ -521,7 +523,7 @@ class TestMirrorSymmetry:
                    for k in range(13) for y in (3, -3) for direction in (CW, CCW)]
         scenes.append((ORIGIN, TargetCircle((0.5, -1.0), 1.0, CCW)))
         for start, circle in scenes:
-            _, mirrored_circle, _ = mirror_problem(start, circle)
+            mirrored_circle = mirror_problem(start, circle)
             for ptype in PathType:
                 try:
                     rep = shortest_for_type(start, circle, ptype)
@@ -578,7 +580,7 @@ class TestShortestToCircle:
         for _ in range(10):
             inst = random_instance(rng)
             result = shortest_to_circle(inst.start, inst.circle)
-            _, mirrored, _ = mirror_problem(inst.start, inst.circle)
+            mirrored = mirror_problem(inst.start, inst.circle)
             result_m = shortest_to_circle(inst.start, mirrored)
             assert result_m.length == pytest.approx(result.length, abs=1e-10)
             if not result.tie:
@@ -614,6 +616,15 @@ class TestShortestToCircle:
         assert PathType.RSL not in result.per_type
         assert result.length > 0.0
         assert result.assumption_ok is False
+
+    def test_readme_library_example(self, capsys):
+        # the README's python block runs as written against the public API
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        exec(compile(block, str(readme), "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("PathType.LSL 10.51244")
 
 
 class TestArrivalPose:
