@@ -31,10 +31,7 @@ from .errors import (
 from .export import PathScene, SweepPlot, export_sweep_csv, render_svg
 from .geometry import (
     Configuration,
-    FrameTransform,
-    mirror_transform,
     normalize_angle,
-    to_canonical,
     wrap_to_pi,
 )
 from .instances import Instance, InstanceFormatError, load_instance, parse_instance, random_instance
@@ -74,7 +71,6 @@ __all__ = [
     "DubinsCircleError",
     "Extremum",
     "ExtremumReport",
-    "FrameTransform",
     "GlobalMinimum",
     "InfeasiblePathError",
     "Instance",
@@ -103,7 +99,6 @@ __all__ = [
     "lsl_between",
     "lsr_between",
     "mirror_problem",
-    "mirror_transform",
     "normalize_angle",
     "parse_instance",
     "perpendicular_distance_to_center",
@@ -117,7 +112,6 @@ __all__ = [
     "shortest_for_type",
     "shortest_to_circle",
     "sweep",
-    "to_canonical",
     "trace_path",
     "wrap_to_pi",
 ]

@@ -36,9 +36,9 @@ from .geometry import (
     HALF_PI,
     TWO_PI,
     arc_angle,
-    mirror_transform,
     normalize_angle,
-    to_canonical,
+    rotate,
+    to_start_frame,
 )
 from .paths import INNER_TANGENT_REL_TOL, CscPath, PathType, csc_between
 
@@ -179,7 +179,7 @@ class CanonicalInstance:
     alpha_sign: float
     alpha_offset: float
 
-    def to_canonical_alpha(self, alpha_world):
+    def from_world_alpha(self, alpha_world):
         return self.alpha_sign * alpha_world + self.alpha_offset
 
     def to_world_alpha(self, alpha_canonical: float) -> float:
@@ -189,26 +189,21 @@ class CanonicalInstance:
 def canonical_instance(
     start: Configuration, circle: TargetCircle, path_type: PathType
 ) -> CanonicalInstance:
-    center = circle.center
-    direction = circle.direction
     mirrored = path_type in (PathType.RSR, PathType.LSR)
     if mirrored:
-        tm = mirror_transform(start)
-        center = tm.apply_point(*center)
-        direction = direction.opposite
         kind = PathType.LSL if path_type is PathType.RSR else PathType.RSL
     else:
         kind = path_type
     target_heading = 0.0 if kind is PathType.LSL else HALF_PI
-    t = to_canonical(start, target_heading)
-    c, d = t.apply_point(*center)
+    c, d = rotate(*to_start_frame(start, *circle.center, mirrored), target_heading)
+    rot = target_heading - start.theta
     if mirrored:
-        sign, offset = -1.0, 2.0 * start.theta + t.rotation
+        sign, offset = -1.0, 2.0 * start.theta + rot
     else:
-        sign, offset = 1.0, t.rotation
+        sign, offset = 1.0, rot
     return CanonicalInstance(
         kind=kind,
-        cw=direction is RotationDirection.CW,
+        cw=(circle.direction is RotationDirection.CW) != mirrored,
         c=c,
         d=d,
         r=circle.radius,
@@ -413,7 +408,7 @@ def closed_form_length(
 ) -> float:
     """Scalar closed-form length at a world-frame angle; NaN when infeasible."""
     ci = canonical_instance(start, circle, path_type)
-    a = ci.to_canonical_alpha(normalize_angle(alpha))
+    a = ci.from_world_alpha(normalize_angle(alpha))
     return canonical_terms_scalar(ci, a)[0]
 
 
@@ -423,5 +418,5 @@ def mirror_problem(start: Configuration, circle: TargetCircle) -> TargetCircle:
     The start is fixed by the reflection; the circle center reflects and
     its rotation direction flips.  Mirroring twice gives the circle back.
     """
-    center = mirror_transform(start).apply_point(*circle.center)
-    return TargetCircle(center, circle.radius, circle.direction.opposite)
+    dx, dy = rotate(*to_start_frame(start, *circle.center, mirrored=True), start.theta)
+    return TargetCircle((start.x + dx, start.y + dy), circle.radius, circle.direction.opposite)

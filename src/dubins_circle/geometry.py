@@ -1,9 +1,11 @@
-"""Planar poses, angle arithmetic, and rigid-frame transforms.
+"""Planar poses, angle arithmetic, and the start-frame reduction.
 
 The CSC path formulas are stated in canonical frames (start pose at the
 origin with heading 0 for L-first paths, pi/2 for R-first paths).
-``FrameTransform`` carries arbitrary scenes into those frames;
-its optional reflection exchanges left- and right-turning paths.
+``to_start_frame`` carries a point into the start's own frame by
+subtracting the start and then rotating, optionally reflecting across
+the start's heading line to exchange left- and right-turning paths; a
+quarter turn more gives the R-first frame.
 """
 
 from __future__ import annotations
@@ -76,50 +78,17 @@ class Configuration:
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 
-@dataclass(frozen=True)
-class FrameTransform:
-    """Rigid-frame map: rotate, optionally reflect across the x-axis, then translate.
+def to_start_frame(
+    start: Configuration, x: float, y: float, mirrored: bool = False
+) -> tuple[float, float]:
+    """The point (x, y) in the frame of ``start``: origin at the start,
+    heading along +x, and y negated when ``mirrored``.
 
-    Applied to a point p the map is ``S @ R(rotation) @ p + translation``
-    where ``S`` flips the y coordinate when ``reflection`` is set.
-    Reflection also flips heading signs, so it exchanges left and right
-    turns and clockwise and counter-clockwise circle directions.
+    The start is subtracted before the rotation, so the result depends
+    only on the differences ``x - start.x`` and ``y - start.y``, and
+    exactly translated scenes reduce to the same bits.  The negation is
+    the reflection across the start's heading line, which exchanges left
+    and right turns.
     """
-
-    rotation: float
-    translation: tuple[float, float]
-    reflection: bool = False
-
-    def apply_point(self, x: float, y: float) -> tuple[float, float]:
-        px, py = rotate(x, y, self.rotation)
-        if self.reflection:
-            py = -py
-        return px + self.translation[0], py + self.translation[1]
-
-    def apply_config(self, config: Configuration) -> Configuration:
-        """Map a pose; its heading maps as a direction angle."""
-        x, y = self.apply_point(config.x, config.y)
-        theta = config.theta + self.rotation
-        return Configuration(x, y, -theta if self.reflection else theta)
-
-
-def to_canonical(start: Configuration, target_heading: float = 0.0) -> FrameTransform:
-    """Transform mapping ``start`` to the pose (0, 0, target_heading).
-
-    L-first path formulas use target heading 0, R-first formulas pi/2.
-    """
-    rot = target_heading - start.theta
-    px, py = rotate(start.x, start.y, rot)
-    return FrameTransform(rot, (-px, -py), False)
-
-
-def mirror_transform(start: Configuration) -> FrameTransform:
-    """Reflection across the line through ``start`` along its heading.
-
-    Fixes ``start`` itself, exchanges L and R turns, and is an involution.
-    """
-    phi = start.theta
-    px, py = start.x, start.y
-    # linear part S @ R(-2*phi) equals the reflection about the angle-phi line
-    qx, qy = rotate(px, py, -2.0 * phi)
-    return FrameTransform(-2.0 * phi, (px - qx, py + qy), True)
+    u, v = rotate(x - start.x, y - start.y, -start.theta)
+    return (u, -v) if mirrored else (u, v)

@@ -18,13 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasiblePathError
-from .geometry import (
-    Configuration,
-    HALF_PI,
-    mirror_transform,
-    normalize_angle,
-    to_canonical,
-)
+from .geometry import Configuration, HALF_PI, normalize_angle, rotate, to_start_frame
 
 # below this fraction of r, the two turn circles of an outer-tangent type
 # are treated as co-located and all turning is assigned to the first arc
@@ -123,27 +117,23 @@ def assemble(
     )
 
 
-def _check_radius(r: float) -> None:
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError(f"turn radius must be positive and finite, got {r!r}")
-
-
-def lsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
-    """LSL path: left arc, straight, left arc.
+def _lsl_arcs(start: Configuration, goal: Configuration, r: float, mirrored: bool):
+    """(phi1, ls, phi2) of the LSL path, or of RSR when ``mirrored``.
 
     In the canonical frame (start at the origin heading 0) the straight
     length equals the distance between the turn-circle centers, the first
     arc turns until the heading matches the center-to-center direction,
-    and the second arc supplies the remaining goal heading.
+    and the second arc supplies the remaining goal heading.  Arc angles
+    and lengths are reflection-invariant, so RSR is LSL in the mirrored
+    frame.
     """
-    _check_radius(r)
-    t = to_canonical(start, 0.0)
-    g = t.apply_config(goal)
-    theta = g.theta
+    gx, gy = to_start_frame(start, goal.x, goal.y, mirrored)
+    theta = goal.theta - start.theta
+    theta = normalize_angle(-theta if mirrored else theta)
     # centers in the canonical frame: C1 = (0, r), C2 = goal's left circle
-    dx = g.x - r * math.sin(theta)
-    dy = g.y + r * math.cos(theta) - r
-    if abs(dy) <= 4.0 * math.ulp(abs(g.y) + 2.0 * r):
+    dx = gx - r * math.sin(theta)
+    dy = gy + r * math.cos(theta) - r
+    if abs(dy) <= 4.0 * math.ulp(abs(gy) + 2.0 * r):
         # within the rounding of the sum, C2 lies on the line y = r, so the
         # first arc is exactly 0 or pi; rounded, an empty arc could land a
         # few ulps below 2*pi and read as a full turn
@@ -151,28 +141,26 @@ def lsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
     ls = math.hypot(dx, dy)
     if ls < DEGENERATE_CENTER_TOL * r:
         # co-located circles: pure arc, all turning on the first arc
-        phi1, ls, phi2 = normalize_angle(theta), 0.0, 0.0
-    else:
-        phi1 = normalize_angle(math.atan2(dy, dx))
-        phi2 = normalize_angle(theta - phi1)
-    return assemble(PathType.LSL, start, goal, r, phi1, ls, phi2)
+        return normalize_angle(theta), 0.0, 0.0
+    phi1 = normalize_angle(math.atan2(dy, dx))
+    return phi1, ls, normalize_angle(theta - phi1)
 
 
-def rsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
-    """RSL path: right arc, inner-tangent straight, left arc.
+def _rsl_arcs(start: Configuration, goal: Configuration, r: float, mirrored: bool):
+    """(phi1, ls, phi2) of the RSL path, or of LSR when ``mirrored``.
 
     Requires the two turn circles to be at least 2r apart; raises
     InfeasiblePathError otherwise.  Exact tangency is accepted with a
     zero-length straight segment.
     """
-    _check_radius(r)
-    t = to_canonical(start, HALF_PI)
-    g = t.apply_config(goal)
-    theta = g.theta
+    # the canonical frame is the start frame turned a quarter, heading pi/2
+    gx, gy = rotate(*to_start_frame(start, goal.x, goal.y, mirrored), HALF_PI)
+    theta = goal.theta - start.theta
+    theta = normalize_angle((-theta if mirrored else theta) + HALF_PI)
     # canonical centers: C1 = (r, 0), C2 = goal's left circle
-    wx = g.x - r * math.sin(theta) - r
-    wy = g.y + r * math.cos(theta)
-    if abs(wx + 2.0 * r) <= 4.0 * math.ulp(abs(g.x) + 2.0 * r):
+    wx = gx - r * math.sin(theta) - r
+    wy = gy + r * math.cos(theta)
+    if abs(wx + 2.0 * r) <= 4.0 * math.ulp(abs(gx) + 2.0 * r):
         # within the rounding of the sum, C2 lies on the line x = -r, where
         # a straight along the start ray is tangent to both circles
         wx = -2.0 * r
@@ -185,46 +173,53 @@ def rsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
     # phi1 is pi/2 minus the straight's heading, w turned clockwise by
     # atan2(2r, ls); at wx = -2r and wy > 0, ls = wy and phi1 = 0 exactly
     phi1 = normalize_angle(math.atan2(ls * wx + 2.0 * r * wy, ls * wy - 2.0 * r * wx))
-    phi2 = normalize_angle(theta + phi1 - HALF_PI)
-    return assemble(PathType.RSL, start, goal, r, phi1, ls, phi2)
+    return phi1, ls, normalize_angle(theta + phi1 - HALF_PI)
 
 
-def _mirror_construct(
-    base: PathType, target: PathType, start: Configuration, goal: Configuration, r: float
-) -> CscPath:
-    tm = mirror_transform(start)
-    mirrored = {
-        PathType.LSL: lsl_between,
-        PathType.RSL: rsl_between,
-    }[base](start, tm.apply_config(goal), r)
-    # arc angles and lengths are reflection-invariant; reassemble in the
-    # original frame with the turn handedness swapped back
-    return assemble(target, start, goal, r, mirrored.phi1, mirrored.ls, mirrored.phi2)
-
-
-def rsr_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
-    """RSR path, constructed as the mirror image of an LSL path."""
-    return _mirror_construct(PathType.LSL, PathType.RSR, start, goal, r)
-
-
-def lsr_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
-    """LSR path, constructed as the mirror image of an RSL path."""
-    return _mirror_construct(PathType.RSL, PathType.LSR, start, goal, r)
-
-
-_CONSTRUCTORS = {
-    PathType.LSL: lsl_between,
-    PathType.RSL: rsl_between,
-    PathType.RSR: rsr_between,
-    PathType.LSR: lsr_between,
+# each type's arcs: its family body, and whether it runs in the mirrored frame
+_ARCS = {
+    PathType.LSL: (_lsl_arcs, False),
+    PathType.RSL: (_rsl_arcs, False),
+    PathType.RSR: (_lsl_arcs, True),
+    PathType.LSR: (_rsl_arcs, True),
 }
 
 
 def csc_between(
     start: Configuration, goal: Configuration, r: float, path_type: PathType
 ) -> CscPath:
-    """Construct the CSC path of the requested type between two poses."""
-    return _CONSTRUCTORS[path_type](start, goal, r)
+    """Construct the CSC path of the requested type between two poses.
+
+    RSR and LSR are the LSL and RSL constructions in the frame mirrored
+    across the start's heading line; every type is assembled once, in the
+    original frame.  Raises InfeasiblePathError when an inner-tangent
+    type (RSL, LSR) does not exist between the poses.
+    """
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"turn radius must be positive and finite, got {r!r}")
+    arcs, mirrored = _ARCS[path_type]
+    phi1, ls, phi2 = arcs(start, goal, r, mirrored)
+    return assemble(path_type, start, goal, r, phi1, ls, phi2)
+
+
+def lsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
+    """LSL path: left arc, straight, left arc."""
+    return csc_between(start, goal, r, PathType.LSL)
+
+
+def rsl_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
+    """RSL path: right arc, inner-tangent straight, left arc."""
+    return csc_between(start, goal, r, PathType.RSL)
+
+
+def rsr_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
+    """RSR path: right arc, straight, right arc."""
+    return csc_between(start, goal, r, PathType.RSR)
+
+
+def lsr_between(start: Configuration, goal: Configuration, r: float) -> CscPath:
+    """LSR path: left arc, inner-tangent straight, right arc."""
+    return csc_between(start, goal, r, PathType.LSR)
 
 
 def trace_path(path: CscPath, start: Configuration) -> Configuration:

@@ -194,6 +194,15 @@ def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]
 
         vals = np.where(terms[i] > math.pi, terms[i] - TWO_PI, terms[i])
         found += [(a % TWO_PI, cause) for a in _zero_crossings(folded, vals, grid)]
+    cusp = _cusp_angle(ci)
+    if cusp is not None:
+        # phi1 jumps by pi at the cusp, and the scan can read that as a wrap
+        # that no path attains; the cusp event evaluates this angle itself
+        found = [
+            (a, cause)
+            for a, cause in found
+            if cause != CAUSE_PHI1 or abs(wrap_to_pi(a - cusp)) > JUMP_PROBE
+        ]
     return found
 
 
@@ -251,7 +260,7 @@ def analytic_derivative(
     r = circle.radius
     if rotational_relation(path_type, circle.direction) is RotationalRelation.CO_ROTATIONAL:
         return ci.alpha_sign * r
-    _, _, phi2, _, feasible = canonical_terms_scalar(ci, ci.to_canonical_alpha(a))
+    _, _, phi2, _, feasible = canonical_terms_scalar(ci, ci.from_world_alpha(a))
     if not feasible:
         raise InfeasiblePathError(f"path type infeasible at alpha={alpha!r}")
     return ci.alpha_sign * (r - 2.0 * r * math.cos(phi2))
@@ -312,18 +321,27 @@ def _stationary_points(ci: CanonicalInstance, wraps: list[float]) -> list[tuple[
     return out
 
 
+def _cusp_angle(ci: CanonicalInstance) -> Optional[float]:
+    """Canonical alpha of LSL's cusp V(a) = 0, which exists when |V0| = 2r
+    (within the constructor's co-location tolerance); None otherwise."""
+    if ci.kind is not PathType.LSL:
+        return None
+    vx, vy, _ = _centre_offset(ci)
+    if abs(math.hypot(vx, vy) - 2.0 * ci.r) <= DEGENERATE_CENTER_TOL * ci.r:
+        return math.atan2(-vy, -vx) % TWO_PI
+    return None
+
+
 def _feasibility_events(ci: CanonicalInstance) -> list[tuple[float, str]]:
     """(canonical alpha, cause) of RSL's feasibility boundaries |V(a)| = 2r,
-    or of LSL's cusp V(a) = 0 when |V0| = 2r: a 2*pi*r jump where both arc
-    angles jump by pi instead of wrapping, so the wrap scan does not report
-    it."""
-    vx, vy, _ = _centre_offset(ci)
+    or of LSL's cusp: a 2*pi*r jump where both arc angles jump by pi
+    instead of wrapping, so the wrap scan does not report it."""
     if ci.kind is PathType.RSL:
+        vx, vy, _ = _centre_offset(ci)
         roots = _cos_sin_roots(vx, vy, -(vx * vx + vy * vy) / (4.0 * ci.r))
         return [(a, KIND_BOUNDARY) for a in roots]
-    if abs(math.hypot(vx, vy) - 2.0 * ci.r) <= DEGENERATE_CENTER_TOL * ci.r:
-        return [(math.atan2(-vy, -vx) % TWO_PI, CAUSE_CUSP)]
-    return []
+    cusp = _cusp_angle(ci)
+    return [] if cusp is None else [(cusp, CAUSE_CUSP)]
 
 
 def _pinned_terms(ci: CanonicalInstance, a: float, cause: str):

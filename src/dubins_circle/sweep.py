@@ -99,7 +99,7 @@ def refine_min(result: SweepResult, start: Configuration, circle: TargetCircle) 
     ci = canonical_instance(start, circle, result.path_type)
 
     def f(a: float) -> float:
-        length = canonical_terms_scalar(ci, ci.to_canonical_alpha(normalize_angle(a)))[0]
+        length = canonical_terms_scalar(ci, ci.from_world_alpha(normalize_angle(a)))[0]
         return math.inf if math.isnan(length) else length
 
     step = TWO_PI / result.n

@@ -423,12 +423,12 @@ class TestKernelBitIdentity:
                     result = sweep(start, circle, ptype, n=20011)
                     grid = np.arange(20011) * (TWO_PI / 20011)
                     _assert_bytes_equal(result.alphas, grid)
-                    want = _reference_terms(ci, ci.to_canonical_alpha(_np_mod_arc(grid)))
+                    want = _reference_terms(ci, ci.from_world_alpha(_np_mod_arc(grid)))
                     got = (result.lengths, result.phi1, result.phi2, result.ls, result.feasible)
                     for g, w in zip(got, want):
                         _assert_bytes_equal(g, w)
                     table = closed_form_table(start, circle, ptype, world)
-                    want = _reference_terms(ci, ci.to_canonical_alpha(_np_mod_arc(world)))
+                    want = _reference_terms(ci, ci.from_world_alpha(_np_mod_arc(world)))
                     for key, w in zip(("length", "phi1", "phi2", "ls", "feasible"), want):
                         _assert_bytes_equal(table[key], w)
 

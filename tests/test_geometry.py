@@ -1,4 +1,4 @@
-"""Unit tests for angle arithmetic, poses, and frame transforms."""
+"""Unit tests for angle arithmetic, poses, and the mirror reduction."""
 
 import math
 import random
@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dubins_circle import (
     Configuration,
     mirror_problem,
-    mirror_transform,
     normalize_angle,
-    to_canonical,
     wrap_to_pi,
 )
 from dubins_circle.circle_target import RotationDirection, TargetCircle
@@ -19,7 +17,6 @@ from dubins_circle.circle_target import RotationDirection, TargetCircle
 TWO_PI = 2.0 * math.pi
 
 angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
 def test_normalize_examples():
@@ -68,47 +65,6 @@ def test_configuration_normalizes_heading():
     assert c.theta == pytest.approx(3 * math.pi / 2)
     with pytest.raises(ValueError):
         Configuration(math.inf, 0.0, 0.0)
-
-
-def test_to_canonical_identity():
-    t = to_canonical(Configuration(0, 0, 0), 0.0)
-    assert t.apply_point(0.0, 0.0) == (0.0, 0.0)
-    assert t.apply_config(Configuration(0, 0, 0)).theta == 0.0
-
-
-def test_to_canonical_examples():
-    start = Configuration(3, 4, math.pi / 2)
-    t = to_canonical(start, 0.0)
-    assert t.rotation == pytest.approx(-math.pi / 2)
-    mapped = t.apply_config(start)
-    assert (mapped.x, mapped.y, mapped.theta) == pytest.approx((0, 0, 0), abs=1e-12)
-
-    start = Configuration(1, 1, math.pi)
-    t = to_canonical(start, math.pi / 2)
-    mapped = t.apply_config(start)
-    assert (mapped.x, mapped.y) == pytest.approx((0, 0), abs=1e-12)
-    assert mapped.theta == pytest.approx(math.pi / 2)
-
-
-@given(coords, coords, angles, coords, coords, angles)
-@settings(deadline=None, max_examples=200)
-def test_mirror_transform_involution(x, y, th, px, py, pth):
-    t = mirror_transform(Configuration(x, y, th))
-    probe = Configuration(px, py, pth)
-    double = t.apply_config(t.apply_config(probe))
-    scale = max(1.0, abs(px), abs(py), abs(x), abs(y))
-    assert double.x == pytest.approx(probe.x, abs=1e-10 * scale)
-    assert double.y == pytest.approx(probe.y, abs=1e-10 * scale)
-    assert wrap_to_pi(double.theta - probe.theta) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_mirror_transform_fixes_start_and_flips_turns():
-    start = Configuration(2.0, -1.0, 0.7)
-    t = mirror_transform(start)
-    fixed = t.apply_config(start)
-    assert (fixed.x, fixed.y) == pytest.approx((2.0, -1.0), abs=1e-12)
-    assert fixed.theta == pytest.approx(0.7, abs=1e-12)
-    assert t.reflection is True
 
 
 def test_mirror_problem_examples():

@@ -18,6 +18,7 @@ from dubins_circle import (
     RotationalRelation,
     TargetCircle,
     analytic_derivative,
+    canonical_instance,
     closed_form_length,
     discontinuities,
     final_config_at_alpha,
@@ -488,6 +489,26 @@ class TestNearStartMinima:
             assert report.global_min.length == pytest.approx(expected, abs=1e-12)
             assert report.global_min.kind == kind
 
+    def test_cusp_under_rigid_motions(self):
+        # the LSL cusp scenes of test_degenerate_minima moved anywhere: the
+        # answer is the quarter arc, never a pinned phi1-wrap beside the cusp
+        rng = random.Random(1)
+        for _ in range(200):
+            theta = rng.uniform(0.0, TWO_PI)
+            sx, sy = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+            start = Configuration(sx, sy, theta)
+            c, s = math.cos(theta), math.sin(theta)
+            for cy, direction in ((1.0, CW), (-1.0, CCW)):
+                center = (sx + 2.0 * c - cy * s, sy + 2.0 * s + cy * c)
+                circle = TargetCircle(center, 1.0, direction)
+                result = shortest_to_circle(start, circle)
+                assert result.length == pytest.approx(HALF_PI, abs=1e-9)
+                assert result.per_type[result.path_type].global_min.kind == "single-arc"
+                end = trace_path(result.path, start)
+                goal = final_config_at_alpha(circle, result.alpha)
+                assert math.hypot(end.x - goal.x, end.y - goal.y) <= 1e-10
+                assert abs(wrap_to_pi(end.theta - goal.theta)) <= 1e-10
+
     @pytest.mark.xfail(
         strict=True,
         reason="the wrap scan misses a phi1-wrap beside the feasibility boundary "
@@ -603,6 +624,18 @@ class TestShortestToCircle:
         assert result.tie is True
         assert all(rep.tie for rep in result.per_type.values())
 
+    def test_near_tie_behind_start_prefers_lsl(self):
+        # cw circles behind the start on its heading line: RSL and LSL differ
+        # by rounding only, and either may come out a few ulps shorter
+        for x in (-9.5, -8.25, -7.75, -7.25):
+            result = shortest_to_circle(ORIGIN, TargetCircle((x, 0.0), 1.0, CW))
+            lsl, rsl = result.per_type[PathType.LSL], result.per_type[PathType.RSL]
+            assert lsl.global_min.length != rsl.global_min.length
+            assert lsl.global_min.length == pytest.approx(rsl.global_min.length, abs=1e-12)
+            assert result.path_type is PathType.LSL
+            assert result.tie is True
+            assert lsl.tie is True and rsl.tie is True
+
     def test_assumption_warning_flag(self):
         close = TargetCircle((3, 0), 1.0, CW)
         result = shortest_to_circle(ORIGIN, close)
@@ -662,3 +695,75 @@ class TestArrivalPose:
                 # at 1e6*r one ulp of a coordinate is ~1.2e-10*r: the worst
                 # gap there, 2.6e-10*r, is about 2 ulps of the coordinates
                 self._assert_arrives(start, circle, 1e-9 if shift == 1e6 * r else 1e-10)
+
+
+def _translated_scenes(n, seed):
+    """(scene, shifted scene, shift) for far scenes on a 2**-20 grid, each
+    moved by +-1e3*r and +-1e6*r, where the start-to-point differences are
+    exact."""
+    rng = random.Random(seed)
+    grid = 2.0**-20
+
+    def snap(v):
+        return round(v / grid) * grid
+
+    for _ in range(n):
+        sx, sy = snap(rng.uniform(-20.0, 20.0)), snap(rng.uniform(-20.0, 20.0))
+        dist, angle = rng.uniform(6.0, 30.0), rng.uniform(0.0, TWO_PI)
+        cx, cy = snap(sx + dist * math.cos(angle)), snap(sy + dist * math.sin(angle))
+        theta, direction = rng.uniform(0.0, TWO_PI), rng.choice((CW, CCW))
+        scene = (Configuration(sx, sy, theta), TargetCircle((cx, cy), 1.0, direction))
+        for shift in (1e3, -1e3, 1e6, -1e6):
+            for tx, ty in ((shift, shift), (shift, -shift)):
+                assert (cx + tx) - (sx + tx) == cx - sx
+                assert (cy + ty) - (sy + ty) == cy - sy
+                start = Configuration(sx + tx, sy + ty, theta)
+                circle = TargetCircle((cx + tx, cy + ty), 1.0, direction)
+                yield scene, (start, circle), abs(shift)
+
+
+class TestTranslationInvariance:
+    """The reduction subtracts the start before it rotates, so a scene moved
+    by an exact translation reduces to the same bits."""
+
+    def test_solver_and_kernel_are_bit_identical(self):
+        rng = random.Random(11)
+        for (start0, circle0), (start, circle), _ in _translated_scenes(40, 5):
+            base, moved = shortest_to_circle(start0, circle0), shortest_to_circle(start, circle)
+            assert (moved.path_type, moved.length, moved.alpha) == (
+                base.path_type, base.length, base.alpha
+            )
+            for ptype in PathType:
+                for alpha in (rng.uniform(0.0, TWO_PI) for _ in range(3)):
+                    assert closed_form_length(start, circle, ptype, alpha) == (
+                        closed_form_length(start0, circle0, ptype, alpha)
+                    )
+
+    def test_constructor_within_an_ulp_of_the_offset(self):
+        # the world goal pose of final_config_at_alpha rounds at the scale
+        # of the moved coordinates, and the constructor reads it from there
+        rng = random.Random(13)
+        for (start0, circle0), (start, circle), _ in _translated_scenes(40, 7):
+            ulp = math.ulp(max(abs(v) for v in (start.x, start.y, *circle.center)))
+            for ptype in PathType:
+                for alpha in (rng.uniform(0.0, TWO_PI) for _ in range(3)):
+                    moved = length_at_alpha(start, circle, ptype, alpha).length
+                    base = length_at_alpha(start0, circle0, ptype, alpha).length
+                    assert abs(moved - base) <= ulp
+
+    def test_canonical_centre_matches_high_precision(self):
+        import mpmath
+
+        for _, (start, circle), shift in _translated_scenes(20, 9):
+            # the same float inputs, reduced in 50 digits
+            with mpmath.workdps(50):
+                u0 = mpmath.mpf(circle.center[0]) - mpmath.mpf(start.x)
+                v0 = mpmath.mpf(circle.center[1]) - mpmath.mpf(start.y)
+                cos_t, sin_t = mpmath.cos(start.theta), mpmath.sin(start.theta)
+                u, v = cos_t * u0 + sin_t * v0, cos_t * v0 - sin_t * u0
+            for ptype in PathType:
+                ci = canonical_instance(start, circle, ptype)
+                mu, mv = (u, -v) if ptype in (PathType.RSR, PathType.LSR) else (u, v)
+                if ci.kind is PathType.RSL:  # a quarter turn more
+                    mu, mv = -mv, mu
+                assert abs(ci.c - mu) <= 1e-14 and abs(ci.d - mv) <= 1e-14, shift
