@@ -241,6 +241,77 @@ def _mod_two_pi(x, scratch=None):
     return _fold_two_pi(x, scratch)
 
 
+# samples per kernel pass: the outputs take 33 bytes a sample, so a block
+# (50,000 samples, 1.65 MB, at n = 200,000) stays in a 2 MB L2 cache from
+# one pass to the next, where the whole call would stream 6.6 MB
+_BLOCK = 2**16
+
+
+def _centre_terms(lsl: bool, r: float, x, y, ls, feasible):
+    """phi1 into x, ls and RSL's feasibility, from the centre-to-centre
+    vector (x, y) before its r shift; y ends as scratch."""
+    shifted = y if lsl else x
+    shifted -= r
+    np.hypot(x, y, out=ls)
+    if lsl:
+        _fold_two_pi(np.arctan2(y, x, out=x), y)
+    else:
+        np.greater_equal(ls, 2.0 * r * (1.0 - INNER_TANGENT_REL_TOL), out=feasible)
+        ls *= ls
+        ls -= 4.0 * r * r
+        np.sqrt(np.clip(ls, 0.0, None, out=ls), out=ls)
+        # phi1 = (-psi1 + psi2 + pi/2) mod 2*pi with psi1 = arctan2(y, x)
+        # and psi2 = arctan2(2r, ls); -psi1 + psi2 is psi2 - psi1 exactly
+        np.arctan2(y, x, out=x)
+        np.subtract(np.arctan2(2.0 * r, ls, out=y), x, out=x)
+        x += HALF_PI
+        _mod_two_pi(x, y)
+
+
+def _block_terms(lsl: bool, ci: CanonicalInstance, co, length, phi1, phi2, ls, feasible):
+    """One block of the family kernel, computed inside its outputs.
+
+    ``co`` is None for a counter-rotational family, whose centre-to-centre
+    vector (c + 2r cos a, d + 2r sin a) is built in phi1 and length;
+    otherwise it holds the co-rotational family's constant (phi1, ls,
+    feasible), which the phi2 and length arithmetic read as scalars.
+    """
+    r = ci.r
+    if co is None:
+        x, y = np.cos(phi2, out=phi1), np.sin(phi2, out=length)
+        x *= 2.0 * r
+        y *= 2.0 * r
+        x += ci.c
+        y += ci.d
+        _centre_terms(lsl, r, x, y, ls, feasible)
+        arc1, straight = phi1, ls
+        phi2 += -HALF_PI
+    else:
+        arc1, straight, exists = co
+        phi1.fill(arc1)
+        ls.fill(straight)
+        phi2 += HALF_PI
+    if lsl:
+        phi2 -= arc1
+    else:
+        phi2 += arc1
+        phi2 -= HALF_PI
+    _mod_two_pi(phi2, length)
+    np.add(arc1, phi2, out=length)
+    length *= r
+    length += straight
+    if co is not None:
+        feasible.fill(exists)
+    elif lsl:
+        feasible.fill(True)
+    if not lsl and not feasible.all():
+        # the bytes of adding np.where(feasible, 0.0, np.nan): no feasible
+        # sample holds -0.0, and x + NaN keeps a NaN x as it is
+        infeasible = ~feasible
+        for v in (length, phi1, phi2, ls):
+            np.add(v, np.nan, out=v, where=infeasible)
+
+
 def _terms_into(lsl: bool, ci: CanonicalInstance, length, phi1, phi2, ls, feasible):
     """The LSL (``lsl``) or RSL family kernel, computed inside its outputs.
 
@@ -249,71 +320,40 @@ def _terms_into(lsl: bool, ci: CanonicalInstance, length, phi1, phi2, ls, feasib
     output is bit-identical to them with np.mod and the vanished-arc guard.
     The center-to-center vector is (c + 2r cos a, d + 2r sin a - r) for
     LSL and (c + 2r cos a - r, d + 2r sin a) for RSL; ccw drops the 2r
-    terms, and ls, phi1 and feasibility come from 1-element arrays.
+    terms, so its phi1, ls and feasibility come once from 1-element arrays.
+    An input of more than ``_BLOCK`` samples runs as consecutive slices of
+    the flat views of the C-contiguous outputs, at most ``_BLOCK`` each;
+    every sample's arithmetic is the same in any slice.
     """
-    c, d, r = ci.c, ci.d, ci.r
-    if ci.cw:
-        x, y, ls1, feasible1 = np.cos(phi2, out=phi1), np.sin(phi2, out=length), ls, feasible
-        x *= 2.0 * r
-        y *= 2.0 * r
-        x += c
-        y += d
-    else:
-        x, y, ls1, feasible1 = np.array([c]), np.array([d]), np.empty(1), np.empty(1, dtype=bool)
-    shifted = y if lsl else x
-    shifted -= r
-    np.hypot(x, y, out=ls1)
-    if lsl:
-        _fold_two_pi(np.arctan2(y, x, out=x), y)
-        feasible1.fill(True)
-    else:
-        np.greater_equal(ls1, 2.0 * r * (1.0 - INNER_TANGENT_REL_TOL), out=feasible1)
-        ls1 *= ls1
-        ls1 -= 4.0 * r * r
-        np.sqrt(np.clip(ls1, 0.0, None, out=ls1), out=ls1)
-        # phi1 = (-psi1 + psi2 + pi/2) mod 2*pi with psi1 = arctan2(y, x)
-        # and psi2 = arctan2(2r, ls); -psi1 + psi2 is psi2 - psi1 exactly
-        np.arctan2(y, x, out=x)
-        np.subtract(np.arctan2(2.0 * r, ls1, out=y), x, out=x)
-        x += HALF_PI
-        _mod_two_pi(x, y)
+    co = None
     if not ci.cw:
-        ls.fill(ls1[0])
-        phi1.fill(x[0])
-        feasible.fill(feasible1[0])
-    phi2 += -HALF_PI if ci.cw else HALF_PI
-    if lsl:
-        phi2 -= phi1
-    else:
-        phi2 += phi1
-        phi2 -= HALF_PI
-    _mod_two_pi(phi2, length)
-    np.add(phi1, phi2, out=length)
-    length *= r
-    length += ls
-    if not feasible.all():
-        # the bytes of adding np.where(feasible, 0.0, np.nan): no feasible
-        # sample holds -0.0, and x + NaN keeps a NaN x as it is
-        infeasible = ~feasible
-        for v in (length, phi1, phi2, ls):
-            np.add(v, np.nan, out=v, where=infeasible)
+        x, y, ls1, feasible1 = np.array([ci.c]), np.array([ci.d]), np.empty(1), np.ones(1, bool)
+        _centre_terms(lsl, ci.r, x, y, ls1, feasible1)
+        co = (x[0], ls1[0], feasible1[0])
+    n = phi2.size
+    if n <= _BLOCK:
+        _block_terms(lsl, ci, co, length, phi1, phi2, ls, feasible)
+        return
+    flat = [v.reshape(-1) for v in (length, phi1, phi2, ls, feasible)]
+    count = -(-n // _BLOCK)
+    for k in range(count):
+        part = slice(k * n // count, (k + 1) * n // count)
+        _block_terms(lsl, ci, co, *(v[part] for v in flat))
 
 
-def _outputs(alpha):
-    """Fresh (length, phi1, phi2, ls, feasible) of alpha's shape, with a
-    float copy of alpha in phi2.
+def _outputs(shape):
+    """Fresh (length, phi1, phi2, ls, feasible) of the given shape.
 
     The four float outputs are the rows of one (4,) + shape block, so a
     large call makes one allocation, which the allocator keeps mapped
     and hands to the next call, instead of four that it unmaps and the
     next call faults in again.  Each row is still writable, C-contiguous
-    and disjoint from the others (a 0-d view for scalar alpha); holding
+    and disjoint from the others (a 0-d view for a scalar shape); holding
     any one row keeps all four alive.
     """
-    block = np.empty((4,) + np.shape(alpha))
+    block = np.empty((4,) + shape)
     length, phi1, phi2, ls = (block[k, ...] for k in range(4))
-    np.copyto(phi2, alpha)
-    return length, phi1, phi2, ls, np.empty(phi2.shape, dtype=bool)
+    return length, phi1, phi2, ls, np.empty(shape, dtype=bool)
 
 
 def canonical_terms(ci: CanonicalInstance, alpha):
@@ -328,8 +368,39 @@ def canonical_terms(ci: CanonicalInstance, alpha):
     than 2r) carry NaN in every numeric output and False in the mask.
     The four float outputs are disjoint rows of one block (``_outputs``),
     so holding any one of them keeps all four alive.
+
+    This is the vector twin of ``canonical_terms_scalar``, not its bitwise
+    copy: numpy's vectorised ``arctan2`` and ``hypot`` round differently
+    from ``math.atan2`` and ``math.hypot`` on a few inputs in a hundred.
+    The two agree to within 64 ulps of the length, never differ by a
+    2*pi*r jump, and are NaN at the same samples, which ``refine_min``
+    and the solver's wrap scan rely on when they mix them; the blocked
+    path keeps this, since it does the same arithmetic per sample.
     """
-    out = _outputs(alpha)
+    out = _outputs(np.shape(alpha))
+    np.copyto(out[2], alpha)
+    _terms_into(ci.kind is PathType.LSL, ci, *out)
+    return out
+
+
+def _world_terms(ci: CanonicalInstance, alphas, reduced: bool):
+    """``ci``'s kernel at world-frame angles ``alphas``, a float array:
+    (length, phi1, phi2, ls, feasible), computed inside fresh outputs.
+
+    ``reduced`` says that every angle lies in [0, ``ARC_TOP``) with its
+    sign bit clear, where the guarded reduction is the exact identity;
+    then the canonical angle sign*alpha + offset is one pass into phi2,
+    as alpha + offset or offset - alpha, which are its bits (signed zeros
+    included).  Otherwise alphas is reduced in phi2 first.
+    """
+    length, phi1, phi2, ls, feasible = out = _outputs(alphas.shape)
+    if not reduced:
+        np.copyto(phi2, alphas)
+        alphas = _mod_two_pi(phi2, length)
+    if ci.alpha_sign > 0.0:
+        np.add(alphas, ci.alpha_offset, out=phi2)
+    else:
+        np.subtract(ci.alpha_offset, alphas, out=phi2)
     _terms_into(ci.kind is PathType.LSL, ci, *out)
     return out
 
@@ -348,14 +419,10 @@ def closed_form_table(start: Configuration, circle: TargetCircle, path_type: Pat
     arrays are writable, C-contiguous, disjoint rows of one block, so
     holding any one of them keeps all four alive.
     """
-    ci = canonical_instance(start, circle, path_type)
-    length, phi1, phi2, ls, feasible = _outputs(alphas)
-    if np.signbit(phi2).any() or not np.max(phi2, initial=0.0) < ARC_TOP:
-        _mod_two_pi(phi2, length)
-    phi2 *= ci.alpha_sign
-    phi2 += ci.alpha_offset
-    _terms_into(ci.kind is PathType.LSL, ci, length, phi1, phi2, ls, feasible)
-    return {"length": length, "phi1": phi1, "phi2": phi2, "ls": ls, "feasible": feasible}
+    alphas = np.asarray(alphas, dtype=float)
+    reduced = not np.signbit(alphas).any() and np.max(alphas, initial=0.0) < ARC_TOP
+    terms = _world_terms(canonical_instance(start, circle, path_type), alphas, reduced)
+    return dict(zip(("length", "phi1", "phi2", "ls", "feasible"), terms))
 
 
 # scalar fast paths (pure math) used heavily by bisection and refinement

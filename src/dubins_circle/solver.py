@@ -8,8 +8,9 @@ linear with slope r (co-rotational).
 Each type is solved in its canonical frame, so a scene and its mirror
 image share one computation, and every event is a canonical angle in
 [0, 2*pi).  Wraps come from scanning the kernel's phi1 and phi2, folded
-to (-pi, pi], on 4096 samples and bisecting each zero crossing on the
-scalar kernel.  The other events are roots of ``p*cos(a) + q*sin(a) = k``:
+to (-pi, pi], on 4096 samples; each phi2 zero crossing is bisected on the
+scalar kernel, and each phi1 crossing takes the root of the phi1 = 0 line
+in its cell.  The other events are roots of ``p*cos(a) + q*sin(a) = k``:
 the stationary points of the derivative ``r - 2*r*cos(phi2)``, the RSL
 feasibility boundaries and the LSL cusp.  Each event is one candidate at
 its exact angle, with the segment it zeros pinned to 0: the lower limit
@@ -193,7 +194,14 @@ def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]
             return wrap_to_pi(canonical_terms_scalar(ci, x)[i])
 
         vals = np.where(terms[i] > math.pi, terms[i] - TWO_PI, terms[i])
-        found += [(a % TWO_PI, cause) for a in _zero_crossings(folded, vals, grid)]
+        roots = _zero_crossings(folded, vals, grid)
+        if cause == CAUSE_PHI1:
+            # near the cusp phi1 turns by ~1/eps per radian, so phi1 = 0 is
+            # pinned at its line's root in the crossing's cell instead of
+            # at the bisected angle
+            exact = _phi1_line_roots(ci)
+            roots = [_nearest_root(a, exact, TWO_PI / SCAN_SAMPLES) for a in roots]
+        found += [(a % TWO_PI, cause) for a in roots]
     cusp = _cusp_angle(ci)
     if cusp is not None:
         # phi1 jumps by pi at the cusp, and the scan can read that as a wrap
@@ -290,6 +298,23 @@ def _centre_offset(ci: CanonicalInstance) -> tuple[float, float, float]:
     if ci.kind is PathType.LSL:
         return ci.c, ci.d - r, 0.0
     return ci.c - r, ci.d, 2.0 * r
+
+
+def _phi1_line_roots(ci: CanonicalInstance) -> tuple[float, ...]:
+    """Canonical angles where the turn-centre vector V(a) meets the line
+    phi1 = 0 pins: V_y = 0 for LSL (``2r*sin a = r - d``) and V_x = -2r for
+    RSL (``2r*cos a = -r - c``).  Only a root on the ray is a wrap."""
+    r = ci.r
+    if ci.kind is PathType.LSL:
+        return _cos_sin_roots(0.0, 2.0 * r, r - ci.d)
+    return _cos_sin_roots(2.0 * r, 0.0, -r - ci.c)
+
+
+def _nearest_root(a: float, roots: tuple[float, ...], cell: float) -> float:
+    """The root nearest to a scanned crossing a, if within one scan cell
+    of it; a itself otherwise."""
+    gap, root = min(((abs(wrap_to_pi(w - a)), w) for w in roots), default=(math.inf, a))
+    return root if gap <= cell else a
 
 
 def _stationary_points(ci: CanonicalInstance, wraps: list[float]) -> list[tuple[float, bool]]:

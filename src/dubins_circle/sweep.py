@@ -19,9 +19,9 @@ import numpy as np
 
 from .circle_target import (
     TargetCircle,
+    _world_terms,
     canonical_instance,
     canonical_terms_scalar,
-    closed_form_table,
 )
 from .errors import InfeasiblePathError
 from .geometry import Configuration, TWO_PI, normalize_angle
@@ -69,10 +69,9 @@ def sweep(
     """Evaluate the length of one CSC type at alpha_k = 2*pi*k/n, k < n."""
     if n < 16:
         raise ValueError(f"sweep needs n >= 16, got {n}")
-    # already in [0, 2*pi), so closed_form_table does not reduce it again
     alphas = _grid(n)
-    t = closed_form_table(start, circle, path_type, alphas)
-    terms = (t["length"], t["phi1"], t["phi2"], t["ls"], t["feasible"])
+    # in [0, 2*pi) by construction: no reduction and no scan for one
+    terms = _world_terms(canonical_instance(start, circle, path_type), alphas, reduced=True)
     return SweepResult(path_type, n, alphas, *terms)
 
 

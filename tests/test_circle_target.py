@@ -23,11 +23,13 @@ from dubins_circle import (
     rsl_between,
 )
 from dubins_circle.circle_target import (
+    _BLOCK,
     CanonicalInstance,
     _fold_two_pi,
     _mod_two_pi,
     canonical_instance,
     canonical_terms,
+    canonical_terms_scalar,
 )
 from dubins_circle.instances import random_instance
 from dubins_circle.paths import INNER_TANGENT_REL_TOL
@@ -431,6 +433,51 @@ class TestKernelBitIdentity:
                     want = _reference_terms(ci, ci.from_world_alpha(_np_mod_arc(world)))
                     for key, w in zip(("length", "phi1", "phi2", "ls", "feasible"), want):
                         _assert_bytes_equal(table[key], w)
+
+    @pytest.mark.parametrize("source", ["special", "grid"])
+    def test_blocked_inputs_match_np_mod_formulas(self, source):
+        # the kernel runs inputs longer than _BLOCK as consecutive slices of
+        # flat views; "grid" angles are reduced, so the table skips reduction
+        values = np.resize(_SPECIAL_ALPHAS, _GRID.size) if source == "special" else _GRID
+        inputs = [values[:m] for m in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]
+        inputs += [values[: 3 * (_BLOCK // 2)].reshape(3, -1), values[: 2 * _BLOCK + 3 : 2]]
+        assert inputs[-2].size > _BLOCK
+        assert inputs[-1].size > _BLOCK and not inputs[-1].flags.c_contiguous
+        cases = _bit_identity_instances()
+        for ci in cases[:8] + cases[-2:]:  # every (kind, cw), near and never feasible
+            for alphas in inputs:
+                for got, want in zip(canonical_terms(ci, alphas), _reference_terms(ci, alphas)):
+                    _assert_bytes_equal(got, want)
+        rng = random.Random(227)
+        scenes = [_posed_instance(rng, r) for r in (0.37, 2.9)]
+        scenes.append((ORIGIN, TargetCircle((1.5, 1.0), 1.0, "cw")))
+        for start, circle in scenes:
+            for direction in RotationDirection:
+                circle = TargetCircle(circle.center, circle.radius, direction)
+                for ptype in PathType:
+                    ci = canonical_instance(start, circle, ptype)
+                    for alphas in inputs:
+                        table = closed_form_table(start, circle, ptype, alphas)
+                        want = _reference_terms(ci, ci.from_world_alpha(_np_mod_arc(alphas)))
+                        for key, w in zip(("length", "phi1", "phi2", "ls", "feasible"), want):
+                            _assert_bytes_equal(table[key], w)
+
+    def test_vector_and_scalar_kernels_agree_to_ulps(self):
+        # numpy's vectorised arctan2 and hypot round differently from math's
+        # on a few inputs in a hundred; refine_min and the solver's wrap scan
+        # mix the two kernels, so their difference stays within ulps
+        rng = np.random.default_rng(229)
+        for ci in _bit_identity_instances():
+            alphas = rng.uniform(0.0, TWO_PI, 4096)
+            vector = canonical_terms(ci, alphas)
+            scalar = np.array([canonical_terms_scalar(ci, a)[:4] for a in alphas.tolist()]).T
+            assert np.array_equal(np.isnan(vector[0]), np.isnan(scalar[0]))
+            assert np.array_equal(vector[4], ~np.isnan(scalar[0]))
+            ok = vector[4]
+            gap = np.abs(vector[0][ok] - scalar[0][ok])
+            assert np.all(gap <= 64 * np.spacing(np.abs(scalar[0][ok])))
+            for k in (1, 2):  # no arc angle on the other side of a wrap
+                assert np.all(np.abs(vector[k][ok] - scalar[k][ok]) < math.pi)
 
     def test_reduction_helpers_match_np_mod(self):
         tricky = np.array(

@@ -35,7 +35,7 @@ from dubins_circle import solver as solver_mod
 from dubins_circle.circle_target import canonical_terms, canonical_terms_scalar
 from dubins_circle.instances import random_instance
 from dubins_circle.sweep import refine_min, sweep
-from test_check_grid import _grid_scenes
+from test_check_grid import GRID_FAILURES, JUMP, _grid_scenes
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -377,6 +377,43 @@ class TestDiscontinuities:
             expected = self._zero_crossings_cell_loop(func, vals, cells)
             assert solver_mod._zero_crossings(func, vals, cells) == expected
 
+    def test_jump_signs_match_sweep_steps(self):
+        # each jump's sign against the 4096-sample sweep's length step, in
+        # world alpha order, across the cell that holds it; a wrap on a grid
+        # angle may read on either side, so both cells beside it count
+        n = 4096
+        cell = TWO_PI / n
+        rng = random.Random(313)
+        scenes = [(inst.start, inst.circle) for inst in (random_instance(rng) for _ in range(40))]
+        scenes += [
+            (ORIGIN, TargetCircle((cx, cy), 1.0, direction))
+            for direction, cx, cy in _grid_scenes()
+            if JUMP not in GRID_FAILURES.get((direction, cx, cy), {})
+        ]
+        checked = 0
+        for start, circle in scenes:
+            for ptype in PathType:
+                try:
+                    detected = discontinuities(start, circle, ptype)
+                except InfeasiblePathError:
+                    continue
+                lengths = sweep(start, circle, ptype, n=n).lengths
+                for disc in detected:
+                    k = round(disc.alpha / cell)
+                    if abs(disc.alpha - k * cell) > 1e-9:
+                        cells = [int(disc.alpha // cell)]
+                    else:
+                        cells = [k - 1, k]
+                    steps = [lengths[(j + 1) % n] - lengths[j % n] for j in cells]
+                    if not np.all(np.isfinite(steps)):
+                        continue  # a cell with an infeasible end
+                    step = max(steps, key=abs)
+                    assert abs(step) > math.pi * circle.radius, (circle, ptype, disc)
+                    assert math.copysign(1.0, step) == math.copysign(1.0, disc.jump), (
+                        circle, ptype, disc)
+                    checked += 1
+        assert checked > 5000
+
 
 class TestGlobalMinima:
     def test_matches_refined_sweep(self):
@@ -695,6 +732,32 @@ class TestArrivalPose:
                 # at 1e6*r one ulp of a coordinate is ~1.2e-10*r: the worst
                 # gap there, 2.6e-10*r, is about 2 ulps of the coordinates
                 self._assert_arrives(start, circle, 1e-9 if shift == 1e6 * r else 1e-10)
+
+
+class TestNearCusp:
+    """LSL-cw and RSR-ccw just outside the cusp band, where the two turn
+    circles nearly coincide at one alpha.
+
+    The centre (2 + 2*eps, +-1) puts |V0| - 2r = 2*eps, outside the cusp
+    band of ``DEGENERATE_CENTER_TOL``*r; there phi1 turns by ~1/eps per
+    radian of alpha, so a phi1-wrap pinned at a bisected angle misses its
+    path by up to ~1e-4*r.
+    """
+
+    @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7])
+    @pytest.mark.parametrize("ptype, cy, direction", [
+        (PathType.LSL, 1.0, CW),
+        (PathType.RSR, -1.0, CCW),
+    ])
+    def test_type_report_reaches_the_sweep_minimum(self, eps, ptype, cy, direction):
+        circle = TargetCircle((2.0 + 2.0 * eps, cy), 1.0, direction)
+        g = shortest_for_type(ORIGIN, circle, ptype).global_min
+        refined = refine_min(sweep(ORIGIN, circle, ptype, n=200000), ORIGIN, circle)
+        assert abs(g.length - refined.length) <= 1e-6
+        end = trace_path(g.path, ORIGIN)
+        goal = final_config_at_alpha(circle, g.alpha)
+        # a cusp band of 1e-6*r would read them as cusps and end 2*eps*r off
+        assert math.hypot(end.x - goal.x, end.y - goal.y) <= (1e-8 if eps >= 1e-7 else 2e-7)
 
 
 def _translated_scenes(n, seed):
