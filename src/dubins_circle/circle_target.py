@@ -425,7 +425,7 @@ def closed_form_table(start: Configuration, circle: TargetCircle, path_type: Pat
     return dict(zip(("length", "phi1", "phi2", "ls", "feasible"), terms))
 
 
-# scalar fast paths (pure math) used heavily by bisection and refinement
+# scalar fast paths (pure math) used heavily by the solver and refinement
 
 
 def _lsl_terms_scalar(ci: CanonicalInstance, a: float):

@@ -7,15 +7,15 @@ linear with slope r (co-rotational).
 
 Each type is solved in its canonical frame, so a scene and its mirror
 image share one computation, and every event is a canonical angle in
-[0, 2*pi).  Wraps come from scanning the kernel's phi1 and phi2, folded
-to (-pi, pi], on 4096 samples; each phi2 zero crossing is bisected on the
-scalar kernel, and each phi1 crossing takes the root of the phi1 = 0 line
-in its cell.  The other events are roots of ``p*cos(a) + q*sin(a) = k``:
-the stationary points of the derivative ``r - 2*r*cos(phi2)``, the RSL
-feasibility boundaries and the LSL cusp.  Each event is one candidate at
-its exact angle, with the segment it zeros pinned to 0: the lower limit
-of a jump, or a single arc where two degeneracies meet.  The least gets
-its path from its own terms; world angles appear only in the report.
+[0, 2*pi).  Every event but the LSL cusp is a root of a row
+``p*cos(a) + q*sin(a) = k`` of the family's table (``_event_rows``): the
+wraps of phi1 and phi2, the stationary points of the derivative
+``r - 2*r*cos(phi2)`` and the RSL feasibility boundaries.  A scan of the
+kernel's phi1 and phi2, folded to (-pi, pi], on 4096 samples only decides
+which row roots are wraps.  Each event is one candidate at its exact
+angle, with the segment it zeros pinned to 0: the lower limit of a jump,
+or a single arc where two degeneracies meet.  The least gets its path
+from its own terms; world angles appear only in the report.
 
 Under the 4r assumption (``assumption_check``) wraps of the first arc
 come in pairs: the first arc wraps where the goal-side turn centre,
@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,8 +58,6 @@ from .geometry import Configuration, HALF_PI, TWO_PI, arc_angle, normalize_angle
 from .paths import DEGENERATE_CENTER_TOL, CscPath, PathType, assemble
 
 SCAN_SAMPLES = 4096
-BISECT_TOL = 1e-12
-ROOT_MAX_ITER = 200
 JUMP_PROBE = 1e-7
 # a closed-form stationary root must reproduce its phi2 this closely
 PHI2_TOL = 1e-6
@@ -73,6 +71,8 @@ NEAR_WRAP_GUARD = 0.05
 CAUSE_PHI1 = "phi1-wrap"
 CAUSE_PHI2 = "phi2-wrap"
 CAUSE_CUSP = "cusp"
+# the phi2 of a stationary point, where the straight line meets the centre
+_STATIONARY_PHI2 = (math.pi / 3.0, 5.0 * math.pi / 3.0)
 
 KIND_STATIONARY = "stationary"
 KIND_DEGENERATE = "degenerate-cs"
@@ -129,54 +129,45 @@ class SolveResult:
     tie: bool
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, tol: float) -> float:
-    for _ in range(ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fm = f(mid)
-        if math.isnan(fm):
-            return mid
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def _zero_crossings(f, vals: np.ndarray, grid: np.ndarray) -> list[tuple[float, float]]:
+    """Brackets (lo, hi) of the zero crossings of f, an arc angle folded to
+    (-pi, pi].
 
-
-def _zero_crossings(f: Callable[[float], float], vals: np.ndarray, grid: np.ndarray) -> list[float]:
-    """Angles where f, an arc angle folded to (-pi, pi], crosses zero.
-
-    ``vals`` holds f on the cyclic grid.  Sign changes with both ends
-    within pi/2 of zero are bisected (this excludes the harmless branch
-    jump at +-pi); near-zero cells with equal end signs get a midpoint
-    probe to catch crossing pairs inside one cell.  The cells are
-    classified on the whole grid at once; only flagged ones are visited.
+    ``vals`` holds f on the cyclic grid.  A sign change with both ends
+    within pi/2 of zero brackets its cell (this excludes the harmless
+    branch jump at +-pi), and an exact zero its own grid angle; near-zero
+    cells with equal end signs get a midpoint probe, and a crossing pair
+    inside one cell brackets its two half-cells.  The cells are classified
+    on the whole grid at once; only flagged ones are visited.
     """
     nxt = np.roll(vals, -1)
     near = (np.abs(vals) < NEAR_WRAP_GUARD) & (np.abs(nxt) < NEAR_WRAP_GUARD)
     flagged = (np.abs(vals) <= HALF_PI) & (np.abs(nxt) <= HALF_PI)
     flagged &= (vals == 0.0) | (vals * nxt < 0.0) | near
     step = grid[1] - grid[0]
-    roots: list[float] = []
+    brackets: list[tuple[float, float]] = []
     for k in np.flatnonzero(flagged):
         a, b = float(grid[k]), float(grid[k] + step)
         fa, fb = float(vals[k]), float(nxt[k])
         if fa == 0.0:
-            roots.append(a)
+            brackets.append((a, a))
         elif fa * fb < 0.0:
-            roots.append(_bisect(f, a, b, fa, BISECT_TOL))
+            brackets.append((a, b))
         else:
             mid = 0.5 * (a + b)
             fm = f(mid)
             if not math.isnan(fm) and fa * fm < 0.0:
-                roots.append(_bisect(f, a, mid, fa, BISECT_TOL))
-                roots.append(_bisect(f, mid, b, fm, BISECT_TOL))
-    return roots
+                brackets += [(a, mid), (mid, b)]
+    return brackets
 
 
-def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]:
-    """(canonical alpha, cause) for every arc-angle wrap, unsorted."""
+def _canonical_discontinuities(ci: CanonicalInstance, roots: dict) -> list[tuple[float, str]]:
+    """(canonical alpha, cause) for every arc-angle wrap, unsorted.
+
+    ``roots`` is ``_event_roots(ci)``.  Each wrap is the root of its row
+    nearest to a zero crossing of the scanned arc angle, within one scan
+    cell; a crossing with no root that near is dropped.
+    """
     if not ci.cw:
         # co-rotational: phi1 is constant, phi2 wraps exactly once
         _, phi1, _, _, feasible = canonical_terms_scalar(ci, 0.0)
@@ -184,7 +175,8 @@ def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]
             raise InfeasiblePathError("inner-tangent type infeasible for every alpha")
         a0 = phi1 - HALF_PI if ci.kind is PathType.LSL else -phi1
         return [(a0 % TWO_PI, CAUSE_PHI2)]
-    grid = np.arange(SCAN_SAMPLES) * (TWO_PI / SCAN_SAMPLES)
+    cell = TWO_PI / SCAN_SAMPLES
+    grid = np.arange(SCAN_SAMPLES) * cell
     terms = canonical_terms(ci, grid)
     found: list[tuple[float, str]] = []
     for i, cause in ((1, CAUSE_PHI1), (2, CAUSE_PHI2)):
@@ -194,24 +186,16 @@ def _canonical_discontinuities(ci: CanonicalInstance) -> list[tuple[float, str]]
             return wrap_to_pi(canonical_terms_scalar(ci, x)[i])
 
         vals = np.where(terms[i] > math.pi, terms[i] - TWO_PI, terms[i])
-        roots = _zero_crossings(folded, vals, grid)
-        if cause == CAUSE_PHI1:
-            # near the cusp phi1 turns by ~1/eps per radian, so phi1 = 0 is
-            # pinned at its line's root in the crossing's cell instead of
-            # at the bisected angle
-            exact = _phi1_line_roots(ci)
-            roots = [_nearest_root(a, exact, TWO_PI / SCAN_SAMPLES) for a in roots]
-        found += [(a % TWO_PI, cause) for a in roots]
-    cusp = _cusp_angle(ci)
-    if cusp is not None:
-        # phi1 jumps by pi at the cusp, and the scan can read that as a wrap
-        # that no path attains; the cusp event evaluates this angle itself
-        found = [
-            (a, cause)
-            for a, cause in found
-            if cause != CAUSE_PHI1 or abs(wrap_to_pi(a - cusp)) > JUMP_PROBE
-        ]
-    return found
+        for lo, hi in _zero_crossings(folded, vals, grid):
+            mid = 0.5 * (lo + hi)
+            gap, a = min(((abs(wrap_to_pi(w - mid)), w) for w in roots[cause]),
+                         default=(math.inf, None))
+            if gap <= cell:
+                found.append((a % TWO_PI, cause))
+    # both arc angles jump by pi at the cusp, and the scan can read that as
+    # a wrap that no path attains; the cusp event evaluates this angle itself
+    cusps = roots[CAUSE_CUSP]
+    return [(a, c) for a, c in found if all(abs(wrap_to_pi(a - w)) > JUMP_PROBE for w in cusps)]
 
 
 def _discontinuities(
@@ -234,7 +218,7 @@ def discontinuities(
     world-frame alpha order; its magnitude is 2*pi*r.
     """
     ci = canonical_instance(start, circle, path_type)
-    return _discontinuities(ci, _canonical_discontinuities(ci))
+    return _discontinuities(ci, _canonical_discontinuities(ci, _event_roots(ci)))
 
 
 def analytic_derivative(
@@ -256,7 +240,7 @@ def analytic_derivative(
     """
     ci = canonical_instance(start, circle, path_type)
     if known_discontinuities is None:
-        known_discontinuities = _discontinuities(ci, _canonical_discontinuities(ci))
+        known_discontinuities = discontinuities(start, circle, path_type)
     a = normalize_angle(alpha)
     for disc in known_discontinuities:
         gap = abs(wrap_to_pi(a - disc.alpha))
@@ -300,42 +284,60 @@ def _centre_offset(ci: CanonicalInstance) -> tuple[float, float, float]:
     return ci.c - r, ci.d, 2.0 * r
 
 
-def _phi1_line_roots(ci: CanonicalInstance) -> tuple[float, ...]:
-    """Canonical angles where the turn-centre vector V(a) meets the line
-    phi1 = 0 pins: V_y = 0 for LSL (``2r*sin a = r - d``) and V_x = -2r for
-    RSL (``2r*cos a = -r - c``).  Only a root on the ray is a wrap."""
-    r = ci.r
-    if ci.kind is PathType.LSL:
-        return _cos_sin_roots(0.0, 2.0 * r, r - ci.d)
-    return _cos_sin_roots(2.0 * r, 0.0, -r - ci.c)
+def _event_rows(ci: CanonicalInstance) -> list[tuple[object, float, float, float]]:
+    """(cause, p, q, k) rows: every event of a counter-rotational family but
+    the LSL cusp is a root of ``p*cos(a) + q*sin(a) = k``.
 
-
-def _nearest_root(a: float, roots: tuple[float, ...], cell: float) -> float:
-    """The root nearest to a scanned crossing a, if within one scan cell
-    of it; a itself otherwise."""
-    gap, root = min(((abs(wrap_to_pi(w - a)), w) for w in roots), default=(math.inf, a))
-    return root if gap <= cell else a
-
-
-def _stationary_points(ci: CanonicalInstance, wraps: list[float]) -> list[tuple[float, bool]]:
-    """(canonical alpha, is_minimum) where the straight line meets the centre.
-
-    There phi2 is pi/3 or 5*pi/3 and the straight heading h = a + delta,
-    delta = -pi/2 - phi2, so tangency n(h).V(a) = s is linear in cos a and
-    sin a.  A root counts when the kernel confirms its phi2 and the
-    derivative changes sign across it; that sign, not phi2, tells a minimum
-    from a maximum.  Roots on a wrap are left to its pinned path.
+    The phi1-wrap row is the line that phi1 = 0 pins V(a) to: V_y = 0 for
+    LSL, V_x = -2r for RSL.  Tangency n(h).V(a) = s at the heading
+    h = a - pi/2 - phi2 is the phi2-wrap row at phi2 = 0, and a stationary
+    row (its cause is its phi2, from ``_STATIONARY_PHI2``) at pi/3 or
+    5*pi/3.  RSL's feasibility boundary is |V(a)| = 2r.  A wrap row holds
+    a whole line, and the scan decides which of its roots are wraps.
     """
     vx, vy, s = _centre_offset(ci)
+    r = ci.r
+    rows = [(CAUSE_PHI2, vx, vy, s - 2.0 * r)]
+    if ci.kind is PathType.LSL:
+        rows.append((CAUSE_PHI1, 0.0, 2.0 * r, r - ci.d))
+    else:
+        rows.append((CAUSE_PHI1, 2.0 * r, 0.0, -r - ci.c))
+        rows.append((KIND_BOUNDARY, vx, vy, -(vx * vx + vy * vy) / (4.0 * r)))
+    for phi in _STATIONARY_PHI2:
+        sd, cd = math.sin(-HALF_PI - phi), math.cos(-HALF_PI - phi)
+        rows.append((phi, vy * cd - vx * sd, -vx * cd - vy * sd, s + 2.0 * r * sd))
+    return rows
+
+
+def _event_roots(ci: CanonicalInstance) -> dict:
+    """The roots of each row of ``_event_rows`` keyed by its cause, and the
+    LSL cusp's angle, if any, under ``CAUSE_CUSP``; none for a co-rotational
+    family, whose one event needs no row."""
+    if not ci.cw:
+        return {}
+    roots = {cause: _cos_sin_roots(p, q, k) for cause, p, q, k in _event_rows(ci)}
+    cusp = _cusp_angle(ci)
+    roots[CAUSE_CUSP] = () if cusp is None else (cusp,)
+    return roots
+
+
+def _stationary_points(
+    ci: CanonicalInstance, roots: dict, wraps: list[float]
+) -> list[tuple[float, bool]]:
+    """(canonical alpha, is_minimum) where the straight line meets the centre.
+
+    A root of a stationary row counts when the kernel confirms its phi2 and
+    the derivative changes sign across it; that sign, not phi2, tells a
+    minimum from a maximum.  Roots on a wrap are left to its pinned path.
+    """
     r = ci.r
 
     def deriv(a: float) -> float:
         return r - 2.0 * r * math.cos(canonical_terms_scalar(ci, a)[2])
 
     out = []
-    for phi in (math.pi / 3.0, 5.0 * math.pi / 3.0):
-        sd, cd = math.sin(-HALF_PI - phi), math.cos(-HALF_PI - phi)
-        for a in _cos_sin_roots(vy * cd - vx * sd, -vx * cd - vy * sd, s + 2.0 * r * sd):
+    for phi in _STATIONARY_PHI2:
+        for a in roots[phi]:
             if any(abs(wrap_to_pi(a - w)) <= JUMP_PROBE for w in wraps):
                 continue
             if not abs(canonical_terms_scalar(ci, a)[2] - phi) <= PHI2_TOL:
@@ -357,22 +359,13 @@ def _cusp_angle(ci: CanonicalInstance) -> Optional[float]:
     return None
 
 
-def _feasibility_events(ci: CanonicalInstance) -> list[tuple[float, str]]:
-    """(canonical alpha, cause) of RSL's feasibility boundaries |V(a)| = 2r,
-    or of LSL's cusp: a 2*pi*r jump where both arc angles jump by pi
-    instead of wrapping, so the wrap scan does not report it."""
-    if ci.kind is PathType.RSL:
-        vx, vy, _ = _centre_offset(ci)
-        roots = _cos_sin_roots(vx, vy, -(vx * vx + vy * vy) / (4.0 * ci.r))
-        return [(a, KIND_BOUNDARY) for a in roots]
-    cusp = _cusp_angle(ci)
-    return [] if cusp is None else [(cusp, CAUSE_CUSP)]
-
-
 def _pinned_terms(ci: CanonicalInstance, a: float, cause: str):
     """Kernel terms at event angle a, with the segment ``cause`` zeros pinned to 0."""
     _, phi1, phi2, ls, feasible = canonical_terms_scalar(ci, a)
     if cause == CAUSE_PHI1:
+        # the kernel's phi2 holds its own phi1, which is rounding near the
+        # LSL cusp; phi2 + phi1 (LSL) or phi2 - phi1 (RSL) is free of it
+        phi2 = arc_angle(phi2 + phi1 if ci.kind is PathType.LSL else phi2 - phi1)
         phi1 = 0.0
     elif cause == CAUSE_PHI2:
         phi2 = 0.0
@@ -418,7 +411,8 @@ def shortest_for_type(
     """
     relation = rotational_relation(path_type, circle.direction)
     ci = canonical_instance(start, circle, path_type)
-    wraps = _canonical_discontinuities(ci)
+    roots = _event_roots(ci)
+    wraps = _canonical_discontinuities(ci, roots)
     minima: list[Extremum] = []
     maxima: list[Extremum] = []
 
@@ -429,12 +423,15 @@ def shortest_for_type(
         minima.append(Extremum(ci.to_world_alpha(a), length, phi2))
         candidates.append((terms, a, KIND_DEGENERATE))
     else:
-        for a, is_min in _stationary_points(ci, [a for a, _ in wraps]):
+        for a, is_min in _stationary_points(ci, roots, [a for a, _ in wraps]):
             length, _, phi2, _, _ = terms = canonical_terms_scalar(ci, a)
             (minima if is_min else maxima).append(Extremum(ci.to_world_alpha(a), length, phi2))
             if is_min:
                 candidates.append((terms, a, KIND_STATIONARY))
-        for a, cause in wraps + _feasibility_events(ci):
+        # RSL's feasibility boundaries, and LSL's cusp: a 2*pi*r jump where
+        # both arc angles jump by pi instead of wrapping
+        events = [(a, c) for c in (KIND_BOUNDARY, CAUSE_CUSP) for a in roots.get(c, ())]
+        for a, cause in wraps + events:
             terms = _pinned_terms(ci, a, cause)
             if terms[4]:
                 kind = KIND_BOUNDARY if cause == KIND_BOUNDARY else KIND_DISCONTINUITY

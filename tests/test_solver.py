@@ -330,26 +330,26 @@ class TestDiscontinuities:
 
     @staticmethod
     def _zero_crossings_cell_loop(f, vals, grid):
-        """Reference: the per-cell loop that ``_zero_crossings`` vectorises."""
-        bisect, tol = solver_mod._bisect, solver_mod.BISECT_TOL
+        """Reference: the per-cell loop that ``_zero_crossings`` vectorises,
+        giving each crossing's bracket."""
         guard = solver_mod.NEAR_WRAP_GUARD
         n = len(grid)
-        roots = []
+        brackets = []
         for k in range(n):
             a, b = grid[k], grid[k] + (grid[1] - grid[0])
             fa, fb = vals[k], vals[(k + 1) % n]
             if math.isnan(fa) or math.isnan(fb) or max(abs(fa), abs(fb)) > math.pi / 2:
                 continue
             if fa == 0.0:
-                roots.append(a)
+                brackets.append((a, a))
             elif fa * fb < 0.0:
-                roots.append(bisect(f, a, b, fa, tol))
+                brackets.append((a, b))
             elif abs(fa) < guard and abs(fb) < guard:
                 mid = 0.5 * (a + b)
                 fm = f(mid)
                 if not math.isnan(fm) and fa * fm < 0.0:
-                    roots += [bisect(f, a, mid, fa, tol), bisect(f, mid, b, fm, tol)]
-        return roots
+                    brackets += [(a, mid), (mid, b)]
+        return brackets
 
     def test_zero_crossings_match_cell_loop(self):
         # f is positive at every grid point with a crossing pair inside
@@ -376,6 +376,40 @@ class TestDiscontinuities:
         for func, vals, cells in cases:
             expected = self._zero_crossings_cell_loop(func, vals, cells)
             assert solver_mod._zero_crossings(func, vals, cells) == expected
+
+    @staticmethod
+    def _wrap_row(ci, cause):
+        """(p, q, k) of the line p*cos(a) + q*sin(a) = k that the goal-side
+        turn centre crosses at a wrap, from the canonical (c, d) and r."""
+        c, d, r = ci.c, ci.d, ci.r
+        lsl = ci.kind is PathType.LSL
+        if cause == solver_mod.CAUSE_PHI1:
+            return (0.0, 2.0 * r, r - d) if lsl else (2.0 * r, 0.0, -r - c)
+        return (c, d - r, -2.0 * r) if lsl else (c - r, d, 0.0)
+
+    def test_every_wrap_sits_on_its_row(self):
+        # the scan only picks which row roots are wraps, so each
+        # counter-rotational wrap is its row's root to rounding
+        rng = random.Random(3)
+        scenes = [(inst.start, inst.circle) for inst in (random_instance(rng) for _ in range(300))]
+        scenes += [(ORIGIN, TargetCircle((cx, cy), 1.0, direction))
+                   for direction, cx, cy in _grid_scenes()]
+        eps = np.finfo(float).eps
+        causes = set()
+        for start, circle in scenes:
+            for ptype in PathType:
+                ci = canonical_instance(start, circle, ptype)
+                if not ci.cw:
+                    continue
+                for a, cause in solver_mod._canonical_discontinuities(
+                    ci, solver_mod._event_roots(ci)
+                ):
+                    p, q, k = self._wrap_row(ci, cause)
+                    residual = abs(p * math.cos(a) + q * math.sin(a) - k)
+                    assert residual <= 16.0 * eps * max(math.hypot(p, q), ci.r), (
+                        circle, ptype, a, cause)
+                    causes.add(cause)
+        assert causes == {solver_mod.CAUSE_PHI1, solver_mod.CAUSE_PHI2}
 
     def test_jump_signs_match_sweep_steps(self):
         # each jump's sign against the 4096-sample sweep's length step, in
@@ -446,6 +480,27 @@ class TestGlobalMinima:
         assert len(report.minima) == 1
         assert report.minima[0].phi2 == pytest.approx(PI_3, abs=1e-6)
         assert report.minima[0].length > report.global_min.length
+
+    def test_stationary_point_on_a_wrap(self):
+        # LSL-cw (10, 0) and its mirror RSR-ccw (10, 0): the phi1-wraps at
+        # alpha = pi/6 and 5*pi/6 are exactly the 5*pi/3 and pi/3 stationary
+        # points, which are left to the wraps' pinned paths
+        for ptype, direction, alpha, wraps in (
+            (PathType.LSL, CW, 5 * math.pi / 6, (math.pi / 6, 5 * math.pi / 6)),
+            (PathType.RSR, CCW, 7 * math.pi / 6, (7 * math.pi / 6, 11 * math.pi / 6)),
+        ):
+            circle = TargetCircle((10.0, 0.0), 1.0, direction)
+            report = shortest_for_type(ORIGIN, circle, ptype)
+            assert report.minima == () and report.maxima == ()
+            phi1_wraps = [d.alpha for d in report.discontinuities
+                          if d.cause == solver_mod.CAUSE_PHI1]
+            assert phi1_wraps == pytest.approx(wraps, abs=1e-12)
+            g = report.global_min
+            assert g.kind == "discontinuity"
+            assert g.alpha == pytest.approx(alpha, abs=1e-12)
+            assert g.length == pytest.approx(9.315146743628, abs=1e-12)
+            refined = refine_min(sweep(ORIGIN, circle, ptype, n=200000), ORIGIN, circle)
+            assert g.length == pytest.approx(refined.length, abs=1e-9)
 
     def test_results_are_plain_floats(self):
         far = [random_instance(random.Random(s)) for s in range(1, 4)]
@@ -741,7 +796,8 @@ class TestNearCusp:
     The centre (2 + 2*eps, +-1) puts |V0| - 2r = 2*eps, outside the cusp
     band of ``DEGENERATE_CENTER_TOL``*r; there phi1 turns by ~1/eps per
     radian of alpha, so a phi1-wrap pinned at a bisected angle misses its
-    path by up to ~1e-4*r.
+    path by up to ~1e-4*r, and one that keeps the kernel's phi2 by up to
+    ~1e-7*r.
     """
 
     @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7])
@@ -757,7 +813,7 @@ class TestNearCusp:
         end = trace_path(g.path, ORIGIN)
         goal = final_config_at_alpha(circle, g.alpha)
         # a cusp band of 1e-6*r would read them as cusps and end 2*eps*r off
-        assert math.hypot(end.x - goal.x, end.y - goal.y) <= (1e-8 if eps >= 1e-7 else 2e-7)
+        assert math.hypot(end.x - goal.x, end.y - goal.y) <= 1e-12
 
 
 def _translated_scenes(n, seed):
