@@ -6,16 +6,17 @@ jumps by 2*pi*r wherever one of the arc angles wraps through zero modulo
 linear with slope r (co-rotational).
 
 Each type is solved in its canonical frame, so a scene and its mirror
-image share one computation, and every event is a canonical angle in
-[0, 2*pi).  Every event but the LSL cusp is a root of a row
-``p*cos(a) + q*sin(a) = k`` of the family's table (``_event_rows``): the
-wraps of phi1 and phi2, the stationary points of the derivative
-``r - 2*r*cos(phi2)`` and the RSL feasibility boundaries.  A scan of the
-kernel's phi1 and phi2, folded to (-pi, pi], on 4096 samples only decides
-which row roots are wraps.  Each event is one candidate at its exact
-angle, with the segment it zeros pinned to 0: the lower limit of a jump,
-or a single arc where two degeneracies meet.  The least gets its path
-from its own terms; world angles appear only in the report.
+image share one computation.  ``_events`` lists every event of a type
+once, as (canonical angle in [0, 2*pi), cause): stationary minima and
+maxima, wraps, feasibility boundaries and the LSL cusp.  Every event but
+the cusp is a root of a row ``p*cos(a) + q*sin(a) = k`` of the family's
+table (``_event_rows``); a scan of the kernel's phi1 and phi2, folded to
+(-pi, pi], on 4096 samples only decides which row roots are wraps.  Where
+the phi1 row is tangent, phi1 touches 0 without wrapping: the touch
+point is a candidate and no discontinuity.  Each event is evaluated once
+at its exact angle, with the segment it zeros pinned to 0; the extrema,
+the candidates and ``discontinuities()`` are filters over the one list.
+The least candidate gets its path from its own terms.
 
 Under the 4r assumption (``assumption_check``) wraps of the first arc
 come in pairs: the first arc wraps where the goal-side turn centre,
@@ -79,6 +80,13 @@ KIND_DEGENERATE = "degenerate-cs"
 KIND_DISCONTINUITY = "discontinuity"
 KIND_BOUNDARY = "feasibility-boundary"
 KIND_SINGLE_ARC = "single-arc"
+# the cause of a stationary maximum, which is no candidate, and of the
+# point where phi1 touches 0 without wrapping
+_MAXIMUM = "maximum"
+_CAUSE_TOUCH = "phi1-touch"
+# the kind of a counter-rotational event's candidate, where it is not its cause
+_KINDS = {CAUSE_PHI1: KIND_DISCONTINUITY, CAUSE_PHI2: KIND_DISCONTINUITY,
+          CAUSE_CUSP: KIND_DISCONTINUITY, _CAUSE_TOUCH: KIND_DISCONTINUITY}
 
 _TYPE_ORDER = (PathType.LSL, PathType.RSL, PathType.RSR, PathType.LSR)
 
@@ -161,20 +169,15 @@ def _zero_crossings(f, vals: np.ndarray, grid: np.ndarray) -> list[tuple[float, 
     return brackets
 
 
-def _canonical_discontinuities(ci: CanonicalInstance, roots: dict) -> list[tuple[float, str]]:
-    """(canonical alpha, cause) for every arc-angle wrap, unsorted.
+def _scanned_wraps(ci: CanonicalInstance, roots: dict) -> list[tuple[float, str]]:
+    """(canonical alpha, cause) for every arc-angle wrap of a
+    counter-rotational family, phi1's first.
 
-    ``roots`` is ``_event_roots(ci)``.  Each wrap is the root of its row
-    nearest to a zero crossing of the scanned arc angle, within one scan
-    cell; a crossing with no root that near is dropped.
+    ``roots`` holds the roots of each row of ``_event_rows`` and the LSL
+    cusp's angle.  Each wrap is the root of its row nearest to a zero
+    crossing of the scanned arc angle, within one scan cell; a crossing
+    with no root that near is dropped.
     """
-    if not ci.cw:
-        # co-rotational: phi1 is constant, phi2 wraps exactly once
-        _, phi1, _, _, feasible = canonical_terms_scalar(ci, 0.0)
-        if not feasible:
-            raise InfeasiblePathError("inner-tangent type infeasible for every alpha")
-        a0 = phi1 - HALF_PI if ci.kind is PathType.LSL else -phi1
-        return [(a0 % TWO_PI, CAUSE_PHI2)]
     cell = TWO_PI / SCAN_SAMPLES
     grid = np.arange(SCAN_SAMPLES) * cell
     terms = canonical_terms(ci, grid)
@@ -198,11 +201,12 @@ def _canonical_discontinuities(ci: CanonicalInstance, roots: dict) -> list[tuple
     return [(a, c) for a, c in found if all(abs(wrap_to_pi(a - w)) > JUMP_PROBE for w in cusps)]
 
 
-def _discontinuities(
-    ci: CanonicalInstance, wraps: list[tuple[float, str]]
-) -> tuple[Discontinuity, ...]:
+def _discontinuities(ci: CanonicalInstance, events: list) -> tuple[Discontinuity, ...]:
+    """The wraps among ``_events(ci)``, with their jumps, by world alpha."""
     out = []
-    for a, cause in wraps:
+    for a, cause in events:
+        if cause not in (CAUSE_PHI1, CAUSE_PHI2):
+            continue
         after, before = (canonical_terms_scalar(ci, a + p)[0] for p in (JUMP_PROBE, -JUMP_PROBE))
         # the mirrored types' reduction reverses the world alpha order
         out.append(Discontinuity(ci.to_world_alpha(a), ci.alpha_sign * (after - before), cause))
@@ -218,7 +222,7 @@ def discontinuities(
     world-frame alpha order; its magnitude is 2*pi*r.
     """
     ci = canonical_instance(start, circle, path_type)
-    return _discontinuities(ci, _canonical_discontinuities(ci, _event_roots(ci)))
+    return _discontinuities(ci, _events(ci))
 
 
 def analytic_derivative(
@@ -309,60 +313,69 @@ def _event_rows(ci: CanonicalInstance) -> list[tuple[object, float, float, float
     return rows
 
 
-def _event_roots(ci: CanonicalInstance) -> dict:
-    """The roots of each row of ``_event_rows`` keyed by its cause, and the
-    LSL cusp's angle, if any, under ``CAUSE_CUSP``; none for a co-rotational
-    family, whose one event needs no row."""
-    if not ci.cw:
-        return {}
-    roots = {cause: _cos_sin_roots(p, q, k) for cause, p, q, k in _event_rows(ci)}
-    cusp = _cusp_angle(ci)
-    roots[CAUSE_CUSP] = () if cusp is None else (cusp,)
-    return roots
+def _events(ci: CanonicalInstance) -> list[tuple[float, object]]:
+    """(canonical alpha, cause) for every event of the family, in candidate
+    order: stationary minima (``KIND_STATIONARY``) and maxima, the phi1
+    touch point, wraps, feasibility boundaries and the LSL cusp.
 
-
-def _stationary_points(
-    ci: CanonicalInstance, roots: dict, wraps: list[float]
-) -> list[tuple[float, bool]]:
-    """(canonical alpha, is_minimum) where the straight line meets the centre.
-
-    A root of a stationary row counts when the kernel confirms its phi2 and
-    the derivative changes sign across it; that sign, not phi2, tells a
-    minimum from a maximum.  Roots on a wrap are left to its pinned path.
+    A co-rotational family has one event, the phi2-wrap where its final arc
+    vanishes, and raises InfeasiblePathError when it exists nowhere.  A
+    counter-rotational family solves each row of ``_event_rows`` once.  A
+    stationary root counts when the kernel confirms its phi2 and the
+    derivative changes sign across it; that sign, not phi2, tells a minimum
+    from a maximum.  Roots on a wrap are left to its pinned path.
     """
+    if not ci.cw:
+        # co-rotational: phi1 is constant, phi2 wraps exactly once
+        _, phi1, _, _, feasible = canonical_terms_scalar(ci, 0.0)
+        if not feasible:
+            raise InfeasiblePathError("inner-tangent type infeasible for every alpha")
+        a0 = phi1 - HALF_PI if ci.kind is PathType.LSL else -phi1
+        return [(a0 % TWO_PI, CAUSE_PHI2)]
     r = ci.r
+    vx, vy, _ = _centre_offset(ci)
+    lsl = ci.kind is PathType.LSL
+    roots = {_CAUSE_TOUCH: (), CAUSE_CUSP: ()}
+    # LSL's cusp V(a) = 0, where |V0| = 2r within the constructors' co-location tolerance
+    if lsl and abs(math.hypot(vx, vy) - 2.0 * r) <= DEGENERATE_CENTER_TOL * r:
+        roots[CAUSE_CUSP] = (math.atan2(-vy, -vx) % TWO_PI,)
+    for cause, p, q, k in _event_rows(ci):
+        rho = math.hypot(p, q)
+        if cause == CAUSE_PHI1 and rho <= abs(k) <= rho + DEGENERATE_CENTER_TOL * r:
+            # V(a) touches the phi1 line, so phi1 touches 0 without wrapping;
+            # a path exists there when V is on the start ray's side
+            a = math.atan2(q * k, p * k) % TWO_PI
+            side = vx + 2.0 * r * math.cos(a) if lsl else vy + 2.0 * r * math.sin(a)
+            roots[cause], roots[_CAUSE_TOUCH] = (), (a,) if side > 0.0 else ()
+        else:
+            roots[cause] = _cos_sin_roots(p, q, k)
+    # the touch point pins phi1 = 0 like a wrap
+    wraps = [(a, _CAUSE_TOUCH) for a in roots[_CAUSE_TOUCH]] + _scanned_wraps(ci, roots)
 
     def deriv(a: float) -> float:
         return r - 2.0 * r * math.cos(canonical_terms_scalar(ci, a)[2])
 
-    out = []
+    stationary = []
     for phi in _STATIONARY_PHI2:
         for a in roots[phi]:
-            if any(abs(wrap_to_pi(a - w)) <= JUMP_PROBE for w in wraps):
+            if any(abs(wrap_to_pi(a - w)) <= JUMP_PROBE for w, _ in wraps):
                 continue
             if not abs(canonical_terms_scalar(ci, a)[2] - phi) <= PHI2_TOL:
                 continue
             before, after = deriv(a - JUMP_PROBE), deriv(a + JUMP_PROBE)
             if before * after < 0.0:
-                out.append((a, before < 0.0))
-    return out
-
-
-def _cusp_angle(ci: CanonicalInstance) -> Optional[float]:
-    """Canonical alpha of LSL's cusp V(a) = 0, which exists when |V0| = 2r
-    (within the constructor's co-location tolerance); None otherwise."""
-    if ci.kind is not PathType.LSL:
-        return None
-    vx, vy, _ = _centre_offset(ci)
-    if abs(math.hypot(vx, vy) - 2.0 * ci.r) <= DEGENERATE_CENTER_TOL * ci.r:
-        return math.atan2(-vy, -vx) % TWO_PI
-    return None
+                stationary.append((a, KIND_STATIONARY if before < 0.0 else _MAXIMUM))
+    # RSL's feasibility boundaries, and LSL's cusp: a 2*pi*r jump where
+    # both arc angles jump by pi instead of wrapping
+    others = [(a, c) for c in (KIND_BOUNDARY, CAUSE_CUSP) for a in roots.get(c, ())]
+    return stationary + wraps + others
 
 
 def _pinned_terms(ci: CanonicalInstance, a: float, cause: str):
     """Kernel terms at event angle a, with the segment ``cause`` zeros pinned to 0."""
-    _, phi1, phi2, ls, feasible = canonical_terms_scalar(ci, a)
-    if cause == CAUSE_PHI1:
+    terms = canonical_terms_scalar(ci, a)
+    _, phi1, phi2, ls, feasible = terms
+    if cause in (CAUSE_PHI1, _CAUSE_TOUCH):
         # the kernel's phi2 holds its own phi1, which is rounding near the
         # LSL cusp; phi2 + phi1 (LSL) or phi2 - phi1 (RSL) is free of it
         phi2 = arc_angle(phi2 + phi1 if ci.kind is PathType.LSL else phi2 - phi1)
@@ -375,24 +388,9 @@ def _pinned_terms(ci: CanonicalInstance, a: float, cause: str):
         phi1, phi2, ls = arc_angle(phi1 + turn), arc_angle(phi2 + turn), 0.0
     elif cause == CAUSE_CUSP:  # coincident turn circles: the two arcs are one
         phi1, phi2, ls = 0.0, arc_angle(phi1 + phi2), 0.0
+    else:  # a stationary point pins nothing
+        return terms
     return ls + ci.r * (phi1 + phi2), phi1, phi2, ls, feasible
-
-
-def _global_minimum(
-    start: Configuration,
-    circle: TargetCircle,
-    path_type: PathType,
-    alpha: float,
-    terms: tuple,
-    kind: str,
-) -> GlobalMinimum:
-    """Assemble the path from its terms at world alpha; report that alpha."""
-    _, phi1, phi2, ls, _ = terms
-    goal = final_config_at_alpha(circle, alpha)
-    path = assemble(path_type, start, goal, circle.radius, phi1, ls, phi2)
-    if ls == 0.0 and 0.0 in (phi1, phi2):
-        kind = KIND_SINGLE_ARC
-    return GlobalMinimum(alpha=alpha, length=path.total_length, phi2=phi2, kind=kind, path=path)
 
 
 def shortest_for_type(
@@ -402,56 +400,46 @@ def shortest_for_type(
 ) -> ExtremumReport:
     """Extrema, discontinuities, and the global minimum for one CSC type.
 
-    Co-rotational types get the degenerate-CS minimum at the angle where
-    the final arc vanishes.  Counter-rotational types take the least of
-    their stationary minima and the pinned paths (``_pinned_terms``) at
-    every wrap, feasibility boundary and cusp.  Every candidate is a
-    canonical angle evaluated once on the scalar kernel, whose terms give
-    the winner its path.
+    Every event of ``_events`` is evaluated once on the scalar kernel, with
+    the segment it zeros pinned (``_pinned_terms``).  A co-rotational
+    type's one event is its degenerate-CS minimum; a counter-rotational
+    type's candidates are its stationary minima and every feasible touch
+    point, wrap, feasibility boundary and cusp.  The least candidate's
+    terms give the winner its path.
     """
-    relation = rotational_relation(path_type, circle.direction)
     ci = canonical_instance(start, circle, path_type)
-    roots = _event_roots(ci)
-    wraps = _canonical_discontinuities(ci, roots)
+    events = _events(ci)
     minima: list[Extremum] = []
     maxima: list[Extremum] = []
-
     candidates: list[tuple[tuple, float, str]] = []  # (terms, canonical alpha, kind)
-    if relation is RotationalRelation.CO_ROTATIONAL:
-        a = wraps[0][0]  # the final arc vanishes at its only wrap
-        length, _, phi2, _, _ = terms = _pinned_terms(ci, a, CAUSE_PHI2)
-        minima.append(Extremum(ci.to_world_alpha(a), length, phi2))
-        candidates.append((terms, a, KIND_DEGENERATE))
-    else:
-        for a, is_min in _stationary_points(ci, roots, [a for a, _ in wraps]):
-            length, _, phi2, _, _ = terms = canonical_terms_scalar(ci, a)
-            (minima if is_min else maxima).append(Extremum(ci.to_world_alpha(a), length, phi2))
-            if is_min:
-                candidates.append((terms, a, KIND_STATIONARY))
-        # RSL's feasibility boundaries, and LSL's cusp: a 2*pi*r jump where
-        # both arc angles jump by pi instead of wrapping
-        events = [(a, c) for c in (KIND_BOUNDARY, CAUSE_CUSP) for a in roots.get(c, ())]
-        for a, cause in wraps + events:
-            terms = _pinned_terms(ci, a, cause)
-            if terms[4]:
-                kind = KIND_BOUNDARY if cause == KIND_BOUNDARY else KIND_DISCONTINUITY
-                candidates.append((terms, a, kind))
+    for a, cause in events:
+        length, _, phi2, _, feasible = terms = _pinned_terms(ci, a, cause)
+        kind = _KINDS.get(cause, cause) if ci.cw else KIND_DEGENERATE
+        if kind in (KIND_STATIONARY, KIND_DEGENERATE, _MAXIMUM):
+            extremum = Extremum(ci.to_world_alpha(a), length, phi2)
+            (maxima if kind == _MAXIMUM else minima).append(extremum)
+        if kind != _MAXIMUM and feasible:
+            candidates.append((terms, a, kind))
     if not candidates:
         raise InfeasiblePathError(
             f"{path_type.value} has no feasible arrival angle for this instance"
         )
-    terms, a, kind = min(candidates, key=lambda cand: cand[0][0])
-    global_min = _global_minimum(start, circle, path_type, ci.to_world_alpha(a), terms, kind)
-
+    (_, phi1, phi2, ls, _), a, kind = min(candidates, key=lambda cand: cand[0][0])
+    alpha = ci.to_world_alpha(a)
+    path = assemble(
+        path_type, start, final_config_at_alpha(circle, alpha), circle.radius, phi1, ls, phi2
+    )
+    if ls == 0.0 and 0.0 in (phi1, phi2):
+        kind = KIND_SINGLE_ARC
     minima.sort(key=lambda e: e.alpha)
     maxima.sort(key=lambda e: e.alpha)
     return ExtremumReport(
         path_type=path_type,
-        relation=relation,
+        relation=rotational_relation(path_type, circle.direction),
         minima=tuple(minima),
         maxima=tuple(maxima),
-        discontinuities=_discontinuities(ci, wraps),
-        global_min=global_min,
+        discontinuities=_discontinuities(ci, events),
+        global_min=GlobalMinimum(alpha, path.total_length, phi2, kind, path),
         assumption_ok=assumption_check(start, circle),
     )
 

@@ -19,53 +19,26 @@ LENGTH = "oracle-agreement-length"
 ALPHA = "oracle-agreement-alpha"
 
 # (direction, cx, cy) -> {failing check: ROADMAP items that remove it}
-#   2: the wrap scan reports touch-point crossing pairs as jumps, and
-#      misses a phi1-wrap beside a feasibility boundary; for the
-#      latter the 4096-sample oracle also misses the narrow stretch (5)
+#   2: the wrap scan misses a phi1-wrap beside a feasibility boundary,
+#      and the 4096-sample oracle also misses the narrow stretch (5)
 #   5: narrow basins that the oracle misses, and isolated minima that no
 #      grid sample hits: at (2, -1) ccw the RSR cusp's single arc, pi/2
 GRID_FAILURES = {
     ("ccw", -1.5, -2.25): {LENGTH: (5,), ALPHA: (5,)},
-    ("ccw", 0.0, -3.0): {JUMP: (2,)},
-    ("ccw", 0.25, -3.0): {JUMP: (2,)},
-    ("ccw", 0.5, -3.0): {JUMP: (2,)},
-    ("ccw", 0.75, -3.0): {JUMP: (2,)},
-    ("ccw", 1.0, -3.0): {JUMP: (2,)},
     ("ccw", 1.0, -2.75): {LENGTH: (2, 5), ALPHA: (2, 5)},
-    ("ccw", 1.25, -3.0): {JUMP: (2,)},
-    ("ccw", 1.5, -3.0): {JUMP: (2,)},
-    ("ccw", 1.75, -3.0): {JUMP: (2,)},
     ("ccw", 1.75, -2.0): {LENGTH: (2, 5), ALPHA: (2, 5)},
     ("ccw", 1.75, 0.0): {LENGTH: (5,), ALPHA: (5,)},
-    ("ccw", 2.0, -3.0): {JUMP: (2,)},
     ("ccw", 2.0, -1.25): {LENGTH: (2, 5), ALPHA: (2, 5)},
     ("ccw", 2.0, -1.0): {LENGTH: (5,)},
     ("ccw", 2.0, -0.75): {LENGTH: (2, 5), ALPHA: (2, 5)},
     ("ccw", 2.0, -0.5): {LENGTH: (2, 5), ALPHA: (2, 5)},
-    ("ccw", 2.25, -3.0): {JUMP: (2,)},
-    ("ccw", 2.5, -3.0): {JUMP: (2,)},
-    ("ccw", 2.75, -3.0): {JUMP: (2,)},
-    ("ccw", 3.0, -3.0): {JUMP: (2,)},
     ("cw", -1.5, 2.25): {LENGTH: (5,), ALPHA: (5,)},
-    ("cw", 0.0, 3.0): {JUMP: (2,)},
-    ("cw", 0.25, 3.0): {JUMP: (2,)},
-    ("cw", 0.5, 3.0): {JUMP: (2,)},
-    ("cw", 0.75, 3.0): {JUMP: (2,)},
     ("cw", 1.0, 2.75): {LENGTH: (2, 5), ALPHA: (2, 5)},
-    ("cw", 1.0, 3.0): {JUMP: (2,)},
-    ("cw", 1.25, 3.0): {JUMP: (2,)},
-    ("cw", 1.5, 3.0): {JUMP: (2,)},
     ("cw", 1.75, 0.0): {LENGTH: (5,), ALPHA: (5,)},
     ("cw", 1.75, 2.0): {LENGTH: (2, 5), ALPHA: (2, 5)},
-    ("cw", 1.75, 3.0): {JUMP: (2,)},
     ("cw", 2.0, 0.5): {LENGTH: (2, 5), ALPHA: (2, 5)},
     ("cw", 2.0, 0.75): {LENGTH: (2, 5), ALPHA: (2, 5)},
     ("cw", 2.0, 1.25): {LENGTH: (2, 5), ALPHA: (2, 5)},
-    ("cw", 2.0, 3.0): {JUMP: (2,)},
-    ("cw", 2.25, 3.0): {JUMP: (2,)},
-    ("cw", 2.5, 3.0): {JUMP: (2,)},
-    ("cw", 2.75, 3.0): {JUMP: (2,)},
-    ("cw", 3.0, 3.0): {JUMP: (2,)},
 }
 
 

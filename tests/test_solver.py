@@ -314,19 +314,18 @@ class TestDiscontinuities:
             for m in mids:
                 assert min(abs(wrap_to_pi(d.alpha - m)) for d in detected) <= 1e-4
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the wrap scan reports a phi1-wrap where the first-arc wrap locus is "
-        "tangent to the start ray (FOUND line on RSR-ccw (10, 1) in CHANGES.md)",
-    )
     def test_tangent_wrap_locus_gives_one_discontinuity(self):
         # phi1 touches 0 without wrapping where phi2 wraps: one 2*pi*r jump
         for ptype, center, direction, alpha in (
             (PathType.RSR, (10, 1), CCW, 1.5 * math.pi),
             (PathType.LSL, (10, -1), CW, 0.5 * math.pi),
+            (PathType.RSR, (0.5, 1), CCW, 1.5 * math.pi),
+            (PathType.LSL, (0.5, -1), CW, 0.5 * math.pi),
         ):
-            detected = discontinuities(ORIGIN, TargetCircle(center, 1.0, direction), ptype)
-            assert sum(abs(wrap_to_pi(d.alpha - alpha)) <= 1e-6 for d in detected) == 1
+            (disc,) = discontinuities(ORIGIN, TargetCircle(center, 1.0, direction), ptype)
+            assert disc.cause == solver_mod.CAUSE_PHI2
+            assert disc.alpha == pytest.approx(alpha, abs=1e-12)
+            assert abs(disc.jump) == pytest.approx(TWO_PI, abs=1e-6)
 
     @staticmethod
     def _zero_crossings_cell_loop(f, vals, grid):
@@ -401,9 +400,9 @@ class TestDiscontinuities:
                 ci = canonical_instance(start, circle, ptype)
                 if not ci.cw:
                     continue
-                for a, cause in solver_mod._canonical_discontinuities(
-                    ci, solver_mod._event_roots(ci)
-                ):
+                for a, cause in solver_mod._events(ci):
+                    if cause not in (solver_mod.CAUSE_PHI1, solver_mod.CAUSE_PHI2):
+                        continue
                     p, q, k = self._wrap_row(ci, cause)
                     residual = abs(p * math.cos(a) + q * math.sin(a) - k)
                     assert residual <= 16.0 * eps * max(math.hypot(p, q), ci.r), (
@@ -600,6 +599,42 @@ class TestNearStartMinima:
                 goal = final_config_at_alpha(circle, result.alpha)
                 assert math.hypot(end.x - goal.x, end.y - goal.y) <= 1e-10
                 assert abs(wrap_to_pi(end.theta - goal.theta)) <= 1e-10
+
+    def test_touch_point_under_rigid_motions(self):
+        # scenes whose phi1 row is tangent, moved anywhere: rounding puts the
+        # row a hair past tangency, and the touch point must still be found
+        rng = random.Random(5)
+        scenes = (
+            (PathType.RSL, 0.5, 3.0, CW, math.pi + 0.5),
+            (PathType.RSL, 10.0, 3.0, CW, math.pi + 10.0),
+            (PathType.LSL, 0.5, -1.0, CW, 0.5),
+            (PathType.LSL, 10.0, -1.0, CW, 10.0),
+            (PathType.LSR, 1.0, -3.0, CCW, math.pi + 1.0),
+        )
+        for _ in range(200):
+            theta = rng.uniform(0.0, TWO_PI)
+            sx, sy = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+            start = Configuration(sx, sy, theta)
+            c, s = math.cos(theta), math.sin(theta)
+            for ptype, cx, cy, direction, expected in scenes:
+                circle = TargetCircle((sx + cx * c - cy * s, sy + cx * s + cy * c), 1.0, direction)
+                g = shortest_for_type(start, circle, ptype).global_min
+                assert g.length == pytest.approx(expected, abs=1e-6), (ptype, cx, cy, start)
+                end = trace_path(g.path, start)
+                goal = final_config_at_alpha(circle, g.alpha)
+                assert math.hypot(end.x - goal.x, end.y - goal.y) <= 1e-10
+                assert abs(wrap_to_pi(end.theta - goal.theta)) <= 1e-10
+
+    def test_phi1_row_just_short_of_tangency_keeps_its_dip(self):
+        # the phi1 row still crosses: the two wraps 2e-5 rad apart bound a
+        # narrow dip below the straight 10, which a touch point would lose
+        circle = TargetCircle((10.0, -1.0 + 1e-10), 1.0, CW)
+        g = shortest_for_type(ORIGIN, circle, PathType.LSL).global_min
+        assert g.length <= 10.0 - 5e-6
+        end = trace_path(g.path, ORIGIN)
+        goal = final_config_at_alpha(circle, g.alpha)
+        assert math.hypot(end.x - goal.x, end.y - goal.y) <= 1e-10
+        assert abs(wrap_to_pi(end.theta - goal.theta)) <= 1e-10
 
     @pytest.mark.xfail(
         strict=True,
